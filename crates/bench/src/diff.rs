@@ -23,6 +23,9 @@
 //! * **bad-up** keys (failures, drops, retransmits) gate only the
 //!   upward direction; **bad-down** keys (completions, answers, hits)
 //!   gate only the downward direction; everything else is two-sided.
+//!   Per-phase allocation counts (`profiler.<phase>.allocs`) are
+//!   bad-up: deterministic for a fixed binary and seed, they are a
+//!   ceiling, so an allocation-free phase may drop to zero freely.
 //!
 //! A reading passes its band when `|candidate - baseline|` is within
 //! `max(abs_slack, rel_tol * |baseline|)` in the gated direction.
@@ -366,7 +369,8 @@ pub fn band_for(key: &str) -> Option<Band> {
             direction: Direction::BadUp,
         });
     }
-    let direction = if BAD_UP.iter().any(|p| key.contains(p)) {
+    let phase_allocs = key.starts_with("profiler.") && key.ends_with(".allocs");
+    let direction = if phase_allocs || BAD_UP.iter().any(|p| key.contains(p)) {
         Direction::BadUp
     } else if BAD_DOWN.iter().any(|p| key.contains(p)) {
         Direction::BadDown
@@ -655,6 +659,23 @@ mod tests {
             .regressions
             .iter()
             .any(|r| r.contains("pipeline.rpcs_issued")), "{:?}", report.regressions);
+    }
+
+    #[test]
+    fn phase_allocs_are_a_ceiling() {
+        let base = bench(1.5, 20, &[("profiler.fleet_scope.allocs", 322_693.0)]);
+        // An allocation-free phase dropping to zero is an improvement.
+        let freed = bench(1.5, 20, &[("profiler.fleet_scope.allocs", 0.0)]);
+        assert!(compare_bench(&parse(&base), &parse(&freed)).is_clean());
+        // Growing past the band is a regression.
+        let grown = bench(1.5, 20, &[("profiler.fleet_scope.allocs", 500_000.0)]);
+        let report = compare_bench(&parse(&base), &parse(&grown));
+        assert!(report
+            .regressions
+            .iter()
+            .any(|r| r.contains("fleet_scope.allocs")), "{:?}", report.regressions);
+        // Wall-clock phase rows stay ungated.
+        assert!(band_for("profiler.fleet_scope.micros").is_none());
     }
 
     #[test]

@@ -29,7 +29,7 @@ use presto_reliability::{
 };
 use presto_sensor::{PushPolicy, SensorConfig, SensorNode};
 use presto_sim::{EnergyCategory, EnergyLedger, FaultPlan, SimDuration, SimRng, SimTime};
-use presto_telemetry::{EpochProfiler, PrestoScope, ScopeConfig, Snapshot};
+use presto_telemetry::{EpochProfiler, MetricSink, Observe, PrestoScope, ScopeConfig, Snapshot};
 use presto_workloads::{LabDeployment, LabParams};
 
 /// Event type code used for rare-event reports.
@@ -67,8 +67,8 @@ pub struct SystemConfig {
     /// phase; disabled, the profiler never touches the clock.
     pub profile: bool,
     /// `presto-scope` time-series sampling and SLO watchdogs over the
-    /// telemetry snapshot, ticked once per epoch. Disabled by default:
-    /// an enabled scope builds a snapshot every sampled epoch.
+    /// system's observation walk, ticked once per epoch. Disabled by
+    /// default.
     pub scope: ScopeConfig,
 }
 
@@ -880,93 +880,26 @@ impl PrestoSystem {
         &mut self.scope
     }
 
-    /// One scope tick at epoch time `t`: builds the telemetry snapshot
-    /// and feeds it to the sampler and watchdogs with the fault plan as
-    /// blame context. No-op (no snapshot built) when the scope is
-    /// disabled. Deployment-tier drivers that pump the pipelines
-    /// themselves call this after their own pump instead.
+    /// One scope tick at epoch time `t`: runs the system's observation
+    /// walk into the scope's slot reader and feeds the readings to the
+    /// sampler and watchdogs with the fault plan as blame context.
+    /// No-op when the scope is disabled. Deployment-tier drivers that
+    /// pump the pipelines themselves call this after their own pump
+    /// instead.
     pub fn scope_tick(&mut self, t: SimTime) {
         if !self.scope.enabled() {
             return;
         }
-        // Observe only the subtrees the scope's paths reach: a tick
-        // costs a partial tree build plus a few walks, not the full
-        // every-component snapshot.
-        let snap = self.snapshot_filtered(&|root| self.scope.needs_root(root));
-        self.scope.sample(t, &snap, &self.config.faults);
+        let mut reader = self.scope.take_reader();
+        reader.read(self);
+        self.scope.tick(t, reader, &self.config.faults);
     }
 
     /// One unified metrics snapshot across every tier this system
-    /// holds. Per-proxy and per-sensor counters are *observed* into
-    /// shared sections, which sums them — the same aggregation a
-    /// multi-proxy fleet report needs, with `max`-annotated fields
-    /// (peak in-flight) taking the maximum instead.
+    /// holds: the full [`Observe`] walk into a fresh tree.
     pub fn telemetry_snapshot(&self) -> Snapshot {
-        self.snapshot_filtered(&|_| true)
-    }
-
-    /// Builds the snapshot tree, observing only top-level sections
-    /// `want` accepts. `telemetry_snapshot` passes the accept-all
-    /// filter; `scope_tick` (and the fleet deployment's own tick)
-    /// passes the scope's followed roots so the per-epoch sample skips
-    /// every subtree it would never read.
-    pub fn snapshot_filtered(&self, want: &dyn Fn(&str) -> bool) -> Snapshot {
         let mut snap = Snapshot::new();
-        let root = &mut snap.root;
-        for p in &self.proxies {
-            if want("proxy") {
-                root.observe("proxy", &p.stats());
-            }
-            if want("pipeline") {
-                root.observe("pipeline", &p.pipeline().stats());
-            }
-            if want("slice") {
-                root.observe("slice", &p.pipeline().slice_cache().stats());
-            }
-        }
-        // Live trace-retention gauges: drop counts are the honest
-        // "recorder overflowed" signal the scope's leak probes read.
-        if want("trace") {
-            let tr = root.child("trace");
-            for p in &self.proxies {
-                let tracer = p.pipeline().tracer();
-                tr.counter("finished_dropped", tracer.finished_dropped());
-                tr.counter("recorder_dropped", tracer.recorder().dropped());
-                tr.counter("recorder_len", tracer.recorder().len() as u64);
-                tr.counter("open", tracer.open_count() as u64);
-            }
-        }
-        if want("downlink") {
-            root.observe("downlink", &self.downlink_stats());
-        }
-        if want("fabric") {
-            root.observe("fabric", &self.fabric.stats());
-        }
-        if want("liveness") {
-            root.observe("liveness", &self.liveness.stats());
-        }
-        if want("recovery") {
-            root.observe("recovery", &self.gaps.stats());
-        }
-        if want("sensor") || want("flash") || want("archive") {
-            for n in self.nodes.iter().flatten() {
-                if want("sensor") {
-                    root.observe("sensor", &n.stats());
-                }
-                if want("flash") {
-                    root.observe("flash", &n.archive().flash_stats());
-                }
-                if want("archive") {
-                    root.observe("archive", &n.archive().stats());
-                }
-            }
-        }
-        if want("profiler") {
-            root.observe("profiler", &self.profiler);
-        }
-        if want("scope") {
-            root.observe("scope", &self.scope);
-        }
+        self.observe(&mut snap.root);
         snap
     }
 
@@ -1067,6 +1000,56 @@ impl PrestoSystem {
 /// Borrow helper: the proxy's ledger for receiver-side energy charging.
 fn proxy_ledger(proxy: &mut PrestoProxy) -> &mut EnergyLedger {
     proxy.ledger_mut()
+}
+
+/// The system's observation walk, shared by
+/// [`PrestoSystem::telemetry_snapshot`] and the scope tick. Per-proxy
+/// and per-sensor counters are *observed* into shared sections, which
+/// sums them — the same aggregation a multi-proxy fleet report needs,
+/// with `max`-annotated fields (peak in-flight) taking the maximum
+/// instead. Each section is skipped whole when the sink declines it.
+impl Observe for PrestoSystem {
+    fn observe(&self, root: &mut dyn MetricSink) {
+        for p in &self.proxies {
+            root.observe("proxy", &p.stats());
+            root.observe("pipeline", &p.pipeline().stats());
+            root.observe("slice", &p.pipeline().slice_cache().stats());
+        }
+        // Live trace-retention gauges: drop counts are the honest
+        // "recorder overflowed" signal the scope's leak probes read.
+        if let Some(tr) = root.child("trace") {
+            for p in &self.proxies {
+                let tracer = p.pipeline().tracer();
+                tr.counter("finished_dropped", tracer.finished_dropped());
+                tr.counter("recorder_dropped", tracer.recorder().dropped());
+                tr.counter("recorder_len", tracer.recorder().len() as u64);
+                tr.counter("open", tracer.open_count() as u64);
+            }
+        }
+        if let Some(s) = root.child("downlink") {
+            self.downlink_stats().observe(s);
+        }
+        root.observe("fabric", &self.fabric.stats());
+        root.observe("liveness", &self.liveness.stats());
+        root.observe("recovery", &self.gaps.stats());
+        if let Some(s) = root.child("sensor") {
+            for n in self.nodes.iter().flatten() {
+                n.stats().observe(s);
+            }
+        }
+        if let Some(s) = root.child("flash") {
+            for n in self.nodes.iter().flatten() {
+                n.archive().flash_stats().observe(s);
+            }
+        }
+        if let Some(s) = root.child("archive") {
+            for n in self.nodes.iter().flatten() {
+                n.archive().stats().observe(s);
+            }
+        }
+        root.observe("profiler", &self.profiler);
+        root.observe("scope", &self.scope);
+    }
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use presto_proxy::{PipelineQuery, PumpSensor};
 use presto_reliability::{DownlinkChannel, Health};
 use presto_sensor::SensorNode;
 use presto_sim::{FaultPlan, FleetArrival, QueryKind, SimDuration, SimTime};
-use presto_telemetry::Snapshot;
+use presto_telemetry::{MetricSink, Observe, Snapshot};
 
 use crate::interlink::{FleetMsg, InterLinkConfig, InterLinkMesh};
 use crate::membership::{FleetMembership, FleetMembershipConfig};
@@ -171,13 +171,23 @@ impl FleetDeployment {
     /// attempt-budget saturation, plus the per-epoch cached worst
     /// retry-budget depletion across the downlink channels it drives.
     pub fn pressure(&self, p: usize) -> ProxyPressure {
+        ProxyPressure {
+            live: self.membership.health(p) == Health::Live,
+            ..self.load_pressure(p)
+        }
+    }
+
+    /// [`FleetDeployment::pressure`] without the liveness grade (`live`
+    /// is left true): all that [`ProxyPressure::score`] reads, at no
+    /// allocation.
+    fn load_pressure(&self, p: usize) -> ProxyPressure {
         let pl = self.system.proxies[p].pipeline();
         let budget = pl.config().epoch_attempt_budget.max(1) as f64;
         ProxyPressure {
             pending: pl.pending_queries(),
             saturation: (pl.last_pump_attempts() as f64 / budget).min(1.0),
             depletion: self.depletions[p],
-            live: self.membership.health(p) == Health::Live,
+            live: true,
         }
     }
 
@@ -514,67 +524,18 @@ impl FleetDeployment {
         // not just the underlying system.
         if self.system.scope().enabled() {
             let scope_timer = self.system.profiler().begin();
-            let snap = self.snapshot_filtered(&|root| self.system.scope().needs_root(root));
-            self.system.scope_mut().sample(t, &snap, &faults);
+            let mut reader = self.system.scope_mut().take_reader();
+            reader.read(self);
+            self.system.scope_mut().tick(t, reader, &faults);
             self.system.profiler_mut().end("fleet_scope", scope_timer);
         }
     }
 
-    /// One unified metrics snapshot across every tier: the system's
-    /// (proxies, pipelines, downlinks, fabric, sensors, profiler) plus
-    /// the fleet tier's router, membership, and mesh counters, the
-    /// serve-time latency/answer-age histograms, and the live fleet
-    /// gauges (leak probes, pressure, fencing) the scope watchdogs
-    /// read.
+    /// One unified metrics snapshot across every tier: the full
+    /// [`Observe`] walk into a fresh tree.
     pub fn telemetry_snapshot(&self) -> Snapshot {
-        self.snapshot_filtered(&|_| true)
-    }
-
-    /// [`FleetDeployment::telemetry_snapshot`] gated per top-level
-    /// section, mirroring `PrestoSystem::snapshot_filtered`: the
-    /// per-epoch scope tick only pays for the subtrees it reads.
-    fn snapshot_filtered(&self, want: &dyn Fn(&str) -> bool) -> Snapshot {
-        let mut snap = self.system.snapshot_filtered(want);
-        let root = &mut snap.root;
-        if want("fleet_router") {
-            root.observe("fleet_router", &self.router.stats());
-            let fr = root.child("fleet_router");
-            fr.histogram("latency_us", self.router.latency_hist());
-            fr.histogram("answer_age_us", self.router.answer_age_hist());
-        }
-        if want("membership") {
-            root.observe("membership", &self.membership.stats());
-        }
-        if want("interlink") {
-            root.observe("interlink", &self.mesh.stats());
-        }
-        if want("fleet") {
-            let leaks = self.leaks();
-            let fl = root.child("fleet");
-            fl.gauge("leak_router_open", leaks.router_open as f64);
-            fl.gauge("leak_pipeline_pending", leaks.pipeline_pending as f64);
-            fl.gauge("leak_rpcs_in_flight", leaks.rpcs_in_flight as f64);
-            fl.gauge("leak_mesh_in_flight", leaks.mesh_in_flight as f64);
-            let proxies = self.system.config().proxies;
-            let pressure_max = (0..proxies)
-                .map(|p| self.pressure(p).score())
-                .fold(0.0, f64::max);
-            fl.gauge("pressure_max", pressure_max);
-            fl.gauge(
-                "fenced_count",
-                self.fenced.iter().filter(|&&f| f).count() as f64,
-            );
-            // Radio driven by a fenced proxy this epoch — the PR 6
-            // invariant says this is identically zero; the scope
-            // watches it.
-            fl.gauge(
-                "fenced_pumping",
-                self.pump_log
-                    .iter()
-                    .filter(|(p, _, _)| self.fenced[*p])
-                    .count() as f64,
-            );
-        }
+        let mut snap = Snapshot::new();
+        self.observe(&mut snap.root);
         snap
     }
 
@@ -737,6 +698,51 @@ impl FleetDeployment {
                     },
                 );
             }
+        }
+    }
+}
+
+/// The fleet's observation walk, shared by
+/// [`FleetDeployment::telemetry_snapshot`] and the scope tick: the
+/// system's (proxies, pipelines, downlinks, fabric, sensors, profiler)
+/// plus the fleet tier's router, membership, and mesh counters, the
+/// serve-time latency/answer-age histograms, and the live fleet gauges
+/// (leak probes, pressure, fencing) the scope watchdogs read.
+impl Observe for FleetDeployment {
+    fn observe(&self, root: &mut dyn MetricSink) {
+        self.system.observe(root);
+        if let Some(fr) = root.child("fleet_router") {
+            self.router.stats().observe(fr);
+            fr.histogram("latency_us", self.router.latency_hist());
+            fr.histogram("answer_age_us", self.router.answer_age_hist());
+        }
+        root.observe("membership", &self.membership.stats());
+        root.observe("interlink", &self.mesh.stats());
+        if let Some(fl) = root.child("fleet") {
+            let leaks = self.leaks();
+            fl.gauge("leak_router_open", leaks.router_open as f64);
+            fl.gauge("leak_pipeline_pending", leaks.pipeline_pending as f64);
+            fl.gauge("leak_rpcs_in_flight", leaks.rpcs_in_flight as f64);
+            fl.gauge("leak_mesh_in_flight", leaks.mesh_in_flight as f64);
+            let proxies = self.system.config().proxies;
+            let pressure_max = (0..proxies)
+                .map(|p| self.load_pressure(p).score())
+                .fold(0.0, f64::max);
+            fl.gauge("pressure_max", pressure_max);
+            fl.gauge(
+                "fenced_count",
+                self.fenced.iter().filter(|&&f| f).count() as f64,
+            );
+            // Radio driven by a fenced proxy this epoch — the fencing
+            // invariant says this is identically zero; the scope
+            // watches it.
+            fl.gauge(
+                "fenced_pumping",
+                self.pump_log
+                    .iter()
+                    .filter(|(p, _, _)| self.fenced[*p])
+                    .count() as f64,
+            );
         }
     }
 }

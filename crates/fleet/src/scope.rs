@@ -7,6 +7,13 @@
 //! scenario watches the same health surface with the same names —
 //! incidents from a partition run and a clean run are comparable
 //! because both used [`fleet_scope_config`].
+//!
+//! The scope resolves these paths once, when it is built, into a slot
+//! table. Each epoch the deployment runs the same observation walk
+//! `telemetry_snapshot` uses into the scope's slot reader, which skips
+//! every section no path enters and reads the rest into one reused
+//! `Vec` of readings — no tree is built, and a steady-state tick
+//! allocates nothing.
 
 use presto_sim::SimDuration;
 use presto_telemetry::{ScopeConfig, SeriesSpec, WatchdogRule};

@@ -355,8 +355,15 @@ impl FaultPlan {
     /// incident in that interval carries. Stable order: plan insertion
     /// order within each fault class, classes in declaration order.
     pub fn active_in(&self, lo: SimTime, hi: SimTime) -> Vec<ActiveFault> {
-        let overlaps = |from: SimTime, to: SimTime| from <= hi && lo < to;
         let mut out = Vec::new();
+        self.extend_active_in(lo, hi, &mut out);
+        out
+    }
+
+    /// [`FaultPlan::active_in`], appended to `out`: a caller that reuses
+    /// one buffer pays no allocation per call.
+    pub fn extend_active_in(&self, lo: SimTime, hi: SimTime, out: &mut Vec<ActiveFault>) {
+        let overlaps = |from: SimTime, to: SimTime| from <= hi && lo < to;
         for c in &self.crashes {
             if overlaps(c.down_from, c.up_at) {
                 out.push(ActiveFault::NodeCrash {
@@ -411,7 +418,6 @@ impl FaultPlan {
                 });
             }
         }
-        out
     }
 
     /// Every scheduled fault active at the instant `t`.

@@ -20,6 +20,10 @@
 //!   epoch pump (`step_epoch_core`, `pump_pipelines`, `pump_queries`,
 //!   membership step), so hot-path regressions are visible before the
 //!   scale-harness PR.
+//! * [`scope`] and [`slots`] — presto-scope: epoch time series and SLO
+//!   watchdogs over a few followed paths, read each epoch by running
+//!   the ordinary [`Observe`] walk into a compiled [`SlotReader`]
+//!   instead of building a [`Snapshot`].
 //!
 //! Instrumentation is cheap when enabled and free when disabled: every
 //! recorder carries an `enabled` flag checked before any allocation or
@@ -29,14 +33,16 @@ pub mod alloc;
 pub mod metrics;
 pub mod profiler;
 pub mod scope;
+pub mod slots;
 pub mod trace;
 
-pub use metrics::{LogHistogram, Observe, Section, Snapshot};
+pub use metrics::{LogHistogram, MetricSink, Observe, Section, Snapshot};
 pub use profiler::{EpochProfiler, PhaseStat, PhaseToken};
 pub use scope::{
     Incident, PrestoScope, RingSeries, RuleCheck, ScopeConfig, SeriesBin, SeriesKind, SeriesSpec,
     TimeSeriesSampler, WatchdogEngine, WatchdogRule,
 };
+pub use slots::{SlotReader, SlotTable};
 pub use trace::{
     CompletionCause, FlightRecorder, QueryTrace, QueryTracer, SpanEvent, TraceEvent,
 };

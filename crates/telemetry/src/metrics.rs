@@ -193,13 +193,67 @@ impl LogHistogram {
     }
 }
 
-/// A component's slot in the [`Snapshot`] tree: named counters, gauges,
-/// histograms, and child sections.
+/// Where [`Observe`] implementations write their metrics.
+///
+/// Two sinks exist. A [`Section`] keeps everything and builds the full
+/// [`Snapshot`] tree. A [`SlotReader`](crate::slots::SlotReader) keeps
+/// only the paths a presto-scope follows: it declines every other child
+/// section, so one observation walk serves both the full snapshot and
+/// the per-epoch scope tick.
 ///
 /// Counters are *additive*: observing two proxies' stats into the same
 /// section sums them, which is exactly the multi-proxy aggregation the
 /// bench code wants. Peak-style fields (a per-proxy high-water mark)
-/// use [`Section::counter_max`] instead. Gauges are last-write-wins.
+/// use [`MetricSink::counter_max`] instead. Gauges are last-write-wins,
+/// and histograms merge.
+pub trait MetricSink {
+    /// Adds `v` to the named counter (creating it at zero).
+    fn counter(&mut self, name: &str, v: u64);
+
+    /// Folds `v` into the named counter with `max` (peak aggregation).
+    fn counter_max(&mut self, name: &str, v: u64);
+
+    /// Sets the named gauge (last write wins).
+    fn gauge(&mut self, name: &str, v: f64);
+
+    /// Merges `h` into the named histogram.
+    fn histogram(&mut self, name: &str, h: &LogHistogram);
+
+    /// The named child sink, or `None` when this sink does not keep
+    /// that subtree (the caller then skips the work of observing it).
+    fn child(&mut self, name: &str) -> Option<&mut dyn MetricSink>;
+}
+
+impl dyn MetricSink + '_ {
+    /// Observes a component into the named child, when this sink keeps
+    /// it.
+    pub fn observe(&mut self, name: &str, component: &impl Observe) {
+        if let Some(c) = self.child(name) {
+            component.observe(c);
+        }
+    }
+}
+
+/// The fields a histogram expands to in a flattened path
+/// (`name.count`, `name.p50`, ...), in flatten order.
+pub(crate) const HISTOGRAM_FIELDS: [&str; 6] = ["count", "p50", "p90", "p99", "max", "mean"];
+
+/// One derived histogram field (one of [`HISTOGRAM_FIELDS`]), or `None`
+/// for any other name.
+pub(crate) fn histogram_field(h: &LogHistogram, field: &str) -> Option<f64> {
+    Some(match field {
+        "count" => h.count() as f64,
+        "p50" => h.quantile(0.50) as f64,
+        "p90" => h.quantile(0.90) as f64,
+        "p99" => h.quantile(0.99) as f64,
+        "max" => h.max() as f64,
+        "mean" => h.mean(),
+        _ => return None,
+    })
+}
+
+/// A component's slot in the [`Snapshot`] tree: named counters, gauges,
+/// histograms, and child sections, written through [`MetricSink`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Section {
     counters: BTreeMap<String, u64>,
@@ -208,31 +262,34 @@ pub struct Section {
     children: BTreeMap<String, Section>,
 }
 
-impl Section {
-    /// Adds `v` to the named counter (creating it at zero).
-    pub fn counter(&mut self, name: &str, v: u64) {
+impl MetricSink for Section {
+    fn counter(&mut self, name: &str, v: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += v;
     }
 
-    /// Folds `v` into the named counter with `max` (peak aggregation).
-    pub fn counter_max(&mut self, name: &str, v: u64) {
+    fn counter_max(&mut self, name: &str, v: u64) {
         let e = self.counters.entry(name.to_string()).or_insert(0);
         *e = (*e).max(v);
     }
 
-    /// Sets the named gauge (last write wins).
-    pub fn gauge(&mut self, name: &str, v: f64) {
+    fn gauge(&mut self, name: &str, v: f64) {
         self.gauges.insert(name.to_string(), v);
     }
 
-    /// Merges `h` into the named histogram.
-    pub fn histogram(&mut self, name: &str, h: &LogHistogram) {
+    fn histogram(&mut self, name: &str, h: &LogHistogram) {
         self.histograms
             .entry(name.to_string())
             .or_default()
             .merge(h);
     }
 
+    /// A section keeps every subtree.
+    fn child(&mut self, name: &str) -> Option<&mut dyn MetricSink> {
+        Some(Section::child(self, name))
+    }
+}
+
+impl Section {
     /// The named child section, created empty on first use.
     pub fn child(&mut self, name: &str) -> &mut Section {
         self.children.entry(name.to_string()).or_default()
@@ -279,38 +336,23 @@ impl Section {
     /// flattening: child sections first, then a terminal counter or
     /// gauge, then a histogram's derived `.count/.p50/...` field.
     /// Matches what [`Section::flatten_into`] would emit for the key.
-    fn get_path(&self, segs: &[&str]) -> Option<f64> {
-        match segs {
-            [] => None,
-            [name] => self
+    fn get_path(&self, path: &str) -> Option<f64> {
+        let Some((head, rest)) = path.split_once('.') else {
+            return self
                 .counters
-                .get(*name)
+                .get(path)
                 .map(|&v| v as f64)
-                .or_else(|| self.gauges.get(*name).copied()),
-            _ => {
-                if let Some(v) = self
-                    .children
-                    .get(segs[0])
-                    .and_then(|c| c.get_path(&segs[1..]))
-                {
-                    return Some(v);
-                }
-                if segs.len() == 2 {
-                    if let Some(h) = self.histograms.get(segs[0]) {
-                        return Some(match segs[1] {
-                            "count" => h.count() as f64,
-                            "p50" => h.quantile(0.50) as f64,
-                            "p90" => h.quantile(0.90) as f64,
-                            "p99" => h.quantile(0.99) as f64,
-                            "max" => h.max() as f64,
-                            "mean" => h.mean(),
-                            _ => return None,
-                        });
-                    }
-                }
-                None
-            }
+                .or_else(|| self.gauges.get(path).copied());
+        };
+        if let Some(v) = self.children.get(head).and_then(|c| c.get_path(rest)) {
+            return Some(v);
         }
+        if rest.contains('.') {
+            return None;
+        }
+        self.histograms
+            .get(head)
+            .and_then(|h| histogram_field(h, rest))
     }
 
     fn flatten_into(&self, prefix: &str, out: &mut Vec<(String, f64)>) {
@@ -328,15 +370,33 @@ impl Section {
             out.push((key(k), *v));
         }
         for (k, h) in &self.histograms {
-            out.push((key(&format!("{k}.count")), h.count() as f64));
-            out.push((key(&format!("{k}.p50")), h.quantile(0.50) as f64));
-            out.push((key(&format!("{k}.p90")), h.quantile(0.90) as f64));
-            out.push((key(&format!("{k}.p99")), h.quantile(0.99) as f64));
-            out.push((key(&format!("{k}.max")), h.max() as f64));
-            out.push((key(&format!("{k}.mean")), h.mean()));
+            for field in HISTOGRAM_FIELDS {
+                let v = histogram_field(h, field).unwrap_or(0.0);
+                out.push((key(&format!("{k}.{field}")), v));
+            }
         }
         for (k, c) in &self.children {
             c.flatten_into(&key(k), out);
+        }
+    }
+
+    /// Replays this tree into another sink: counters, gauges,
+    /// histograms, then children. Replaying into a fresh [`Section`]
+    /// rebuilds the tree exactly.
+    fn replay(&self, s: &mut dyn MetricSink) {
+        for (k, v) in &self.counters {
+            s.counter(k, *v);
+        }
+        for (k, v) in &self.gauges {
+            s.gauge(k, *v);
+        }
+        for (k, h) in &self.histograms {
+            s.histogram(k, h);
+        }
+        for (k, c) in &self.children {
+            if let Some(sub) = s.child(k) {
+                c.replay(sub);
+            }
         }
     }
 }
@@ -364,12 +424,10 @@ impl Snapshot {
         out
     }
 
-    /// Looks up one flattened key by walking the tree directly — no
-    /// allocation, so per-epoch consumers (the presto-scope sampler)
-    /// can read a handful of paths without paying for a full flatten.
+    /// Looks up one flattened key by walking the tree directly, one
+    /// dotted segment at a time — no allocation, no full flatten.
     pub fn get(&self, path: &str) -> Option<f64> {
-        let segs: Vec<&str> = path.split('.').collect();
-        self.root.get_path(&segs)
+        self.root.get_path(path)
     }
 
     /// Merges another snapshot in (multi-deployment aggregation).
@@ -391,12 +449,22 @@ impl Snapshot {
     }
 }
 
+/// A snapshot replays its tree, so a sink can read a snapshot that was
+/// built earlier.
+impl Observe for Snapshot {
+    fn observe(&self, s: &mut dyn MetricSink) {
+        self.root.replay(s);
+    }
+}
+
 /// Implemented by every component that reports into the snapshot tree.
 /// One method replaces thirteen per-struct accessors: the deployment
 /// walks its components and each writes its counters into its section.
+/// The same walk fills a full [`Section`] tree or a presto-scope
+/// [`SlotReader`](crate::slots::SlotReader).
 pub trait Observe {
     /// Writes this component's metrics into `s`.
-    fn observe(&self, s: &mut Section);
+    fn observe(&self, s: &mut dyn MetricSink);
 }
 
 /// Implements [`Observe`] for a plain counter struct by listing its
@@ -416,7 +484,7 @@ macro_rules! observe_counters {
     ($ty:ty { $($f:ident),* $(,)? } max { $($m:ident),* $(,)? }) => {
         impl $crate::Observe for $ty {
             #[allow(clippy::unnecessary_cast)]
-            fn observe(&self, s: &mut $crate::Section) {
+            fn observe(&self, s: &mut dyn $crate::MetricSink) {
                 $( s.counter(stringify!($f), self.$f as u64); )*
                 $( s.counter_max(stringify!($m), self.$m as u64); )*
             }
@@ -532,6 +600,28 @@ mod tests {
         snap.root.child("lat").histogram("latency_us", &h);
         assert_eq!(snap.get("lat.latency_us.count"), Some(1.0));
         assert!(snap.render().contains("demo.hits = 7"));
+    }
+
+    #[test]
+    fn get_reads_every_flattened_key_and_replay_rebuilds() {
+        let mut snap = Snapshot::new();
+        snap.root.counter("top", 1);
+        let a = snap.root.child("a");
+        a.gauge("g", 2.5);
+        a.child("b").counter_max("peak", 9);
+        let mut h = LogHistogram::new();
+        for v in [3, 40, 500] {
+            h.record(v);
+        }
+        a.histogram("lat", &h);
+        for (k, v) in snap.flatten() {
+            assert_eq!(snap.get(&k), Some(v), "key {k}");
+        }
+        assert_eq!(snap.get("a.lat.p42"), None);
+        assert_eq!(snap.get("a.b"), None);
+        let mut copy = Snapshot::new();
+        snap.observe(&mut copy.root);
+        assert_eq!(copy, snap);
     }
 
     #[test]

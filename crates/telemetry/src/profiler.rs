@@ -12,7 +12,7 @@
 use std::time::{Duration, Instant};
 
 use crate::alloc::allocation_count;
-use crate::metrics::{Observe, Section};
+use crate::metrics::{MetricSink, Observe};
 
 /// Accumulated cost of one named phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -129,14 +129,15 @@ impl EpochProfiler {
 }
 
 impl Observe for EpochProfiler {
-    fn observe(&self, s: &mut Section) {
+    fn observe(&self, s: &mut dyn MetricSink) {
         s.counter("epochs", self.epochs);
         for (name, stat) in &self.phases {
-            let c = s.child(name);
-            c.counter("calls", stat.calls);
-            c.counter("micros", stat.micros);
-            c.counter("items", stat.items);
-            c.counter("allocs", stat.allocs);
+            if let Some(c) = s.child(name) {
+                c.counter("calls", stat.calls);
+                c.counter("micros", stat.micros);
+                c.counter("items", stat.items);
+                c.counter("allocs", stat.allocs);
+            }
         }
     }
 }
@@ -144,6 +145,7 @@ impl Observe for EpochProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Section;
 
     #[test]
     fn disabled_profiler_never_times() {

@@ -6,10 +6,10 @@
 //! wrong". Two cooperating pieces:
 //!
 //! * [`TimeSeriesSampler`] — each epoch, a configurable set of
-//!   dotted-path metrics is read out of the flattened [`Snapshot`]
-//!   tree (plus externally [`PrestoScope::feed`]-supplied gauges the
-//!   tree cannot see, like a scenario's stale-confidence probe) into
-//!   bounded per-metric ring buffers. On overflow the ring folds
+//!   dotted-path metrics (plus externally [`PrestoScope::feed`]-supplied
+//!   gauges the tree cannot see, like a scenario's stale-confidence
+//!   probe) is folded into bounded per-metric ring buffers. On overflow
+//!   the ring folds
 //!   adjacent bins 2:1 — deterministically, no sampling, no clocks —
 //!   so `min`, `max`, and `last` over the *entire* stream are
 //!   preserved exactly while memory stays bounded.
@@ -25,7 +25,16 @@
 //!   to it and an alarm outside every fault window is an unexplained
 //!   regression the bench bins fail on.
 //!
-//! Determinism: sampling reads only the snapshot tree and `SimTime`;
+//! Readings come from a slot table, not from a snapshot tree. At build
+//! time the scope interns every followed series, rule and feed path
+//! into a [`SlotTable`] and compiles it to a [`SlotReader`]. Each tick
+//! the deployment runs its ordinary [`Observe`] walk — the same walk
+//! `telemetry_snapshot` uses — into that reader, which keeps only the
+//! followed values: one `Option<f64>` per slot in a reused `Vec`.
+//! Series, Delta state, rules and feeds all index that `Vec`, so a
+//! steady-state tick that opens no incident allocates nothing.
+//!
+//! Determinism: sampling reads only the observation walk and `SimTime`;
 //! rule evaluation is pure arithmetic over those readings. The scope
 //! section a deployment exports via `telemetry_snapshot` is therefore
 //! byte-identical across same-seed runs (the dynamic determinism
@@ -35,7 +44,8 @@ use std::collections::BTreeMap;
 
 use presto_sim::{ActiveFault, FaultPlan, SimDuration, SimTime};
 
-use crate::metrics::{Observe, Section, Snapshot};
+use crate::metrics::{MetricSink, Observe};
+use crate::slots::{SlotReader, SlotTable};
 
 // ---------------------------------------------------------------------------
 // Watchdog rule names
@@ -289,7 +299,8 @@ impl RingSeries {
         RingSeries {
             cap,
             stride: 1,
-            bins: Vec::new(),
+            // Full size up front: the ring never allocates after this.
+            bins: Vec::with_capacity(cap),
             current: None,
             total_samples: 0,
         }
@@ -316,19 +327,23 @@ impl RingSeries {
         }
     }
 
-    /// Folds adjacent bin pairs 2:1 and doubles the stride.
+    /// Folds adjacent bin pairs 2:1 in place and doubles the stride.
     fn downsample(&mut self) {
-        let mut folded = Vec::with_capacity(self.bins.len() / 2 + 1);
-        let mut it = self.bins.drain(..);
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => folded.push(SeriesBin::merge(a, b)),
-                None => folded.push(a),
-            }
+        let n = self.bins.len();
+        for i in 0..n.div_ceil(2) {
+            let a = self.bins[2 * i];
+            self.bins[i] = match self.bins.get(2 * i + 1) {
+                Some(&b) => SeriesBin::merge(a, b),
+                None => a,
+            };
         }
-        drop(it);
-        self.bins = folded;
+        self.bins.truncate(n.div_ceil(2));
         self.stride *= 2;
+    }
+
+    /// Closed bins plus the in-progress one, oldest first, borrowed.
+    fn iter_bins(&self) -> impl Iterator<Item = &SeriesBin> {
+        self.bins.iter().chain(self.current.as_ref())
     }
 
     /// Closed bins plus the in-progress one, oldest first.
@@ -347,8 +362,7 @@ impl RingSeries {
 
     /// Exact minimum over every reading ever pushed.
     pub fn global_min(&self) -> Option<f64> {
-        self.bins()
-            .iter()
+        self.iter_bins()
             .map(|b| b.min)
             .fold(None, |acc: Option<f64>, v| {
                 Some(acc.map_or(v, |a| a.min(v)))
@@ -357,8 +371,7 @@ impl RingSeries {
 
     /// Exact maximum over every reading ever pushed.
     pub fn global_max(&self) -> Option<f64> {
-        self.bins()
-            .iter()
+        self.iter_bins()
             .map(|b| b.max)
             .fold(None, |acc: Option<f64>, v| {
                 Some(acc.map_or(v, |a| a.max(v)))
@@ -420,43 +433,50 @@ struct RuleState {
 /// Online evaluator of [`WatchdogRule`]s with a bounded incident log.
 #[derive(Clone, Debug)]
 pub struct WatchdogEngine {
-    rules: Vec<(WatchdogRule, RuleState)>,
+    /// Each rule with the slot its path reads and its state.
+    rules: Vec<(WatchdogRule, usize, RuleState)>,
     incidents: Vec<Incident>,
     incident_cap: usize,
     pad: SimDuration,
     /// Episodes opened, per rule name (survives record drops).
     opened: BTreeMap<&'static str, u64>,
     dropped: u64,
+    /// Reused blame buffer for extending open incidents.
+    blame: Vec<ActiveFault>,
 }
 
 impl WatchdogEngine {
-    /// Builds the engine over a rule set.
-    pub fn new(rules: Vec<WatchdogRule>, incident_cap: usize, pad: SimDuration) -> Self {
+    /// Builds the engine over a rule set, interning each rule's path
+    /// into `slots`.
+    pub fn new(
+        rules: Vec<WatchdogRule>,
+        slots: &mut SlotTable,
+        incident_cap: usize,
+        pad: SimDuration,
+    ) -> Self {
         WatchdogEngine {
             rules: rules
                 .into_iter()
-                .map(|r| (r, RuleState::default()))
+                .map(|r| {
+                    let slot = slots.intern(&r.path);
+                    (r, slot, RuleState::default())
+                })
                 .collect(),
             incidents: Vec::new(),
             incident_cap,
             pad,
             opened: BTreeMap::new(),
             dropped: 0,
+            blame: Vec::new(),
         }
     }
 
-    /// Feeds one tick of readings. `values` maps sampled paths to this
-    /// tick's readings; a rule whose path is absent is skipped (its
-    /// state holds).
-    pub fn observe_tick(
-        &mut self,
-        t: SimTime,
-        values: &BTreeMap<String, f64>,
-        faults: &FaultPlan,
-    ) {
+    /// Feeds one tick of readings, indexed by slot. A rule whose
+    /// reading is absent is skipped (its state holds).
+    pub fn observe_tick(&mut self, t: SimTime, readings: &[Option<f64>], faults: &FaultPlan) {
         let pad = self.pad;
-        for (rule, state) in &mut self.rules {
-            let Some(&value) = values.get(&rule.path) else {
+        for (rule, slot, state) in &mut self.rules {
+            let Some(value) = readings.get(*slot).copied().flatten() else {
                 continue;
             };
             let (violated, observed, bound) = match rule.check {
@@ -506,7 +526,9 @@ impl WatchdogEngine {
                         if observed.abs() > inc.observed.abs() {
                             inc.observed = observed;
                         }
-                        for f in faults.active_in(t - pad, t + pad) {
+                        self.blame.clear();
+                        faults.extend_active_in(t - pad, t + pad, &mut self.blame);
+                        for f in self.blame.drain(..) {
                             if !inc.faults.contains(&f) {
                                 inc.faults.push(f);
                             }
@@ -546,49 +568,55 @@ impl WatchdogEngine {
 // ---------------------------------------------------------------------------
 
 /// The per-epoch sampler: resolves each followed [`SeriesSpec`] against
-/// one tick's readings (Level as-is, Delta against the previous raw
-/// reading) and folds the result into that spec's [`RingSeries`].
+/// one tick's slot readings (Level as-is, Delta against the previous
+/// raw reading) and folds the result into that spec's [`RingSeries`].
 #[derive(Clone, Debug)]
 pub struct TimeSeriesSampler {
-    specs: Vec<SeriesSpec>,
+    /// Each spec's slot and kind, in config order.
+    specs: Vec<(usize, SeriesKind)>,
     series: Vec<(String, RingSeries)>,
-    /// Last raw reading per Delta path.
-    prev_raw: BTreeMap<String, f64>,
+    /// Last raw reading per slot (Delta specs).
+    prev_raw: Vec<Option<f64>>,
+    /// This tick's series value per slot (reused).
+    tick: Vec<Option<f64>>,
 }
 
 impl TimeSeriesSampler {
-    /// Builds a sampler over `specs` with `ring_capacity` bins each.
-    pub fn new(specs: Vec<SeriesSpec>, ring_capacity: usize) -> Self {
-        let series = specs
-            .iter()
-            .map(|s| (s.path.clone(), RingSeries::new(ring_capacity)))
-            .collect();
+    /// Builds a sampler over `specs` with `ring_capacity` bins each,
+    /// interning each spec's path into `slots`.
+    pub fn new(specs: Vec<SeriesSpec>, slots: &mut SlotTable, ring_capacity: usize) -> Self {
         TimeSeriesSampler {
-            specs,
-            series,
-            prev_raw: BTreeMap::new(),
+            specs: specs
+                .iter()
+                .map(|s| (slots.intern(&s.path), s.kind))
+                .collect(),
+            series: specs
+                .into_iter()
+                .map(|s| (s.path, RingSeries::new(ring_capacity)))
+                .collect(),
+            prev_raw: Vec::new(),
+            tick: Vec::new(),
         }
     }
 
-    /// Folds one tick of readings in. Paths absent from `values` are
-    /// skipped (their rings and Delta state hold).
-    pub fn ingest(&mut self, t: SimTime, values: &BTreeMap<String, f64>) {
-        let mut tick: BTreeMap<&str, f64> = BTreeMap::new();
-        for spec in &self.specs {
-            let Some(&raw) = values.get(&spec.path) else {
+    /// Folds one tick of readings (indexed by slot) in. Absent
+    /// readings are skipped (their rings and Delta state hold).
+    pub fn ingest(&mut self, t: SimTime, readings: &[Option<f64>]) {
+        // Sized once, to the final slot count, on the first tick.
+        self.prev_raw.resize(readings.len(), None);
+        self.tick.resize(readings.len(), None);
+        self.tick.fill(None);
+        for &(slot, kind) in &self.specs {
+            let Some(raw) = readings.get(slot).copied().flatten() else {
                 continue;
             };
-            let v = match spec.kind {
+            self.tick[slot] = Some(match kind {
                 SeriesKind::Level => raw,
-                SeriesKind::Delta => {
-                    let prev = self.prev_raw.insert(spec.path.clone(), raw).unwrap_or(0.0);
-                    raw - prev
-                }
-            };
-            tick.insert(spec.path.as_str(), v);
+                SeriesKind::Delta => raw - self.prev_raw[slot].replace(raw).unwrap_or(0.0),
+            });
         }
-        for (path, ring) in &mut self.series {
-            if let Some(&v) = tick.get(path.as_str()) {
+        for (&(slot, _), (_, ring)) in self.specs.iter().zip(&mut self.series) {
+            if let Some(v) = self.tick[slot] {
                 ring.push(t, v);
             }
         }
@@ -605,19 +633,21 @@ impl TimeSeriesSampler {
 // ---------------------------------------------------------------------------
 
 /// The per-deployment scope: ring-buffered time series plus the
-/// watchdog engine, fed once per epoch from the snapshot tree.
+/// watchdog engine, fed once per epoch from one observation walk.
 #[derive(Clone, Debug)]
 pub struct PrestoScope {
     config: ScopeConfig,
+    /// Every followed series and rule path, deduplicated.
+    slots: SlotTable,
+    /// The slot table compiled for the observation walk. Detached by
+    /// [`PrestoScope::take_reader`] for the length of one walk.
+    reader: SlotReader,
+    /// Externally supplied readings by slot, laid over the walk's at
+    /// each tick (scenario probes the tree cannot see). They persist
+    /// until overwritten.
+    fed: Vec<Option<f64>>,
     sampler: TimeSeriesSampler,
-    /// Externally supplied readings merged over the snapshot at each
-    /// tick (scenario probes the tree cannot see).
-    feeds: BTreeMap<String, f64>,
     watchdog: WatchdogEngine,
-    /// Deduplicated union of every series and rule path: the only keys
-    /// `sample` reads out of the snapshot, so a tick costs a few tree
-    /// walks instead of a full flatten.
-    paths: Vec<String>,
     ticks: u64,
 }
 
@@ -625,41 +655,25 @@ impl PrestoScope {
     /// Builds a scope. Disabled configs build an inert scope whose
     /// every method returns immediately.
     pub fn new(config: ScopeConfig) -> Self {
-        let sampler = TimeSeriesSampler::new(
-            if config.enabled {
-                config.series.clone()
-            } else {
-                Vec::new()
-            },
-            config.ring_capacity,
-        );
+        let (series, rules) = if config.enabled {
+            (config.series.clone(), config.rules.clone())
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let mut slots = SlotTable::default();
+        let sampler = TimeSeriesSampler::new(series, &mut slots, config.ring_capacity);
         let watchdog = WatchdogEngine::new(
-            if config.enabled {
-                config.rules.clone()
-            } else {
-                Vec::new()
-            },
+            rules,
+            &mut slots,
             config.incident_capacity,
             config.attribution_pad,
         );
-        let paths = if config.enabled {
-            let mut seen = std::collections::BTreeSet::new();
-            config
-                .series
-                .iter()
-                .map(|s| s.path.as_str())
-                .chain(config.rules.iter().map(|r| r.path.as_str()))
-                .filter(|p| seen.insert(p.to_string()))
-                .map(str::to_string)
-                .collect()
-        } else {
-            Vec::new()
-        };
         PrestoScope {
+            reader: SlotReader::new(&slots),
+            fed: vec![None; slots.len()],
+            slots,
             sampler,
-            feeds: BTreeMap::new(),
             watchdog,
-            paths,
             ticks: 0,
             config,
         }
@@ -670,44 +684,65 @@ impl PrestoScope {
         self.config.enabled
     }
 
-    /// Whether any followed path lives under the top-level snapshot
-    /// section `root`. Snapshot builders use this to observe only the
-    /// subtrees a tick will actually read.
-    pub fn needs_root(&self, root: &str) -> bool {
-        self.paths
-            .iter()
-            .any(|p| p.split('.').next() == Some(root))
-    }
-
     /// Supplies an external reading for the next tick (overrides a
-    /// same-named snapshot path). Values persist until overwritten.
+    /// same-named walked path). Values persist until overwritten; a
+    /// path no series or rule follows is ignored.
     pub fn feed(&mut self, path: &str, value: f64) {
-        if self.config.enabled {
-            self.feeds.insert(path.to_string(), value);
+        if let Some(slot) = self.slots.slot(path) {
+            self.fed[slot] = Some(value);
         }
     }
 
-    /// One epoch tick: read every followed path out of `snap` (plus
-    /// feeds), fold into the rings, and run the watchdogs with `faults`
-    /// as the blame context.
-    pub fn sample(&mut self, t: SimTime, snap: &Snapshot, faults: &FaultPlan) {
+    /// One epoch tick over `source`'s observation walk: read every
+    /// followed path (plus feeds), fold into the rings, and run the
+    /// watchdogs with `faults` as the blame context.
+    pub fn sample(&mut self, t: SimTime, source: &dyn Observe, faults: &FaultPlan) {
         if !self.config.enabled {
             return;
         }
+        let mut reader = self.take_reader();
+        reader.read(source);
+        self.tick(t, reader, faults);
+    }
+
+    /// Detaches the slot reader for one observation walk. A deployment
+    /// that owns its scope cannot lend the scope to its own walk (the
+    /// walk observes the scope too), so it takes the reader, runs
+    /// [`SlotReader::read`] over itself, and hands the reader back
+    /// through [`PrestoScope::tick`].
+    pub fn take_reader(&mut self) -> SlotReader {
+        std::mem::take(&mut self.reader)
+    }
+
+    /// Finishes a tick whose walk filled `reader` (from
+    /// [`PrestoScope::take_reader`]): feeds override walked readings,
+    /// then the rings and the watchdogs consume them.
+    pub fn tick(&mut self, t: SimTime, mut reader: SlotReader, faults: &FaultPlan) {
+        if !self.config.enabled {
+            self.reader = reader;
+            return;
+        }
         self.ticks += 1;
-        let mut values: BTreeMap<String, f64> = BTreeMap::new();
-        for path in &self.paths {
-            if let Some(v) = snap.get(path) {
-                values.insert(path.clone(), v);
+        for (r, f) in reader.readings_mut().iter_mut().zip(&self.fed) {
+            if f.is_some() {
+                *r = *f;
             }
         }
-        for (k, v) in &self.feeds {
-            values.insert(k.clone(), *v);
-        }
-        self.sampler.ingest(t, &values);
+        self.sampler.ingest(t, reader.readings());
         // Rules read the *raw* readings: counters stay cumulative for
         // Still rules, watermark rules read levels directly.
-        self.watchdog.observe_tick(t, &values, faults);
+        self.watchdog.observe_tick(t, reader.readings(), faults);
+        self.reader = reader;
+    }
+
+    /// The followed paths, in slot order.
+    pub fn slots(&self) -> &SlotTable {
+        &self.slots
+    }
+
+    /// The last tick's reading per slot, feeds included.
+    pub fn readings(&self) -> &[Option<f64>] {
+        self.reader.readings()
     }
 
     /// The followed series, in config order.
@@ -741,7 +776,7 @@ impl PrestoScope {
 }
 
 impl Observe for PrestoScope {
-    fn observe(&self, s: &mut Section) {
+    fn observe(&self, s: &mut dyn MetricSink) {
         if !self.config.enabled {
             return;
         }
@@ -758,9 +793,10 @@ impl Observe for PrestoScope {
         );
         s.counter("incidents_unattributed", self.unattributed_incidents() as u64);
         s.counter("incidents_dropped", self.watchdog.dropped());
-        let by_rule = s.child("incidents");
-        for (name, n) in self.watchdog.opened_counts() {
-            by_rule.counter(name, *n);
+        if let Some(by_rule) = s.child("incidents") {
+            for (name, n) in self.watchdog.opened_counts() {
+                by_rule.counter(name, *n);
+            }
         }
     }
 }
@@ -768,13 +804,15 @@ impl Observe for PrestoScope {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{Section, Snapshot};
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
     }
 
-    fn tick(vals: &[(&str, f64)]) -> BTreeMap<String, f64> {
-        vals.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+    /// One tick's readings for a single-rule engine (its path is slot 0).
+    fn tick(v: f64) -> [Option<f64>; 1] {
+        [Some(v)]
     }
 
     #[test]
@@ -810,17 +848,17 @@ mod tests {
     #[test]
     fn wd_stale_confident_fires_on_counter_growth() {
         let rule = WatchdogRule::still(WD_STALE_CONFIDENT, "probe.stale");
-        let mut e = WatchdogEngine::new(vec![rule], 16, SimDuration::from_mins(5));
+        let mut e = WatchdogEngine::new(vec![rule], &mut SlotTable::default(), 16, SimDuration::from_mins(5));
         let plan = FaultPlan::none();
-        e.observe_tick(t(0), &tick(&[("probe.stale", 0.0)]), &plan);
-        e.observe_tick(t(31), &tick(&[("probe.stale", 0.0)]), &plan);
+        e.observe_tick(t(0), &tick(0.0), &plan);
+        e.observe_tick(t(31), &tick(0.0), &plan);
         assert!(e.incidents().is_empty(), "a still counter must not alarm");
-        e.observe_tick(t(62), &tick(&[("probe.stale", 2.0)]), &plan);
+        e.observe_tick(t(62), &tick(2.0), &plan);
         assert_eq!(e.incidents().len(), 1);
         assert_eq!(e.incidents()[0].rule, WD_STALE_CONFIDENT);
         assert_eq!(e.incidents()[0].observed, 2.0);
         assert!(!e.incidents()[0].attributed, "no faults injected");
-        e.observe_tick(t(93), &tick(&[("probe.stale", 2.0)]), &plan);
+        e.observe_tick(t(93), &tick(2.0), &plan);
         assert_eq!(e.incidents()[0].closed_at, Some(t(93)));
         assert_eq!(e.incidents().len(), 1, "episodes merge consecutive ticks");
     }
@@ -830,10 +868,10 @@ mod tests {
     #[test]
     fn wd_answer_age_p99_watermark_tracks_peak() {
         let rule = WatchdogRule::below(WD_ANSWER_AGE_P99, "router.age_p99", 100.0);
-        let mut e = WatchdogEngine::new(vec![rule], 16, SimDuration::from_mins(5));
+        let mut e = WatchdogEngine::new(vec![rule], &mut SlotTable::default(), 16, SimDuration::from_mins(5));
         let plan = FaultPlan::none();
         for (i, v) in [50.0, 150.0, 300.0, 120.0, 80.0].into_iter().enumerate() {
-            e.observe_tick(t(i as u64 * 31), &tick(&[("router.age_p99", v)]), &plan);
+            e.observe_tick(t(i as u64 * 31), &tick(v), &plan);
         }
         assert_eq!(e.incidents().len(), 1);
         let inc = &e.incidents()[0];
@@ -848,21 +886,21 @@ mod tests {
     #[test]
     fn wd_leak_probe_needs_no_progress() {
         let rule = WatchdogRule::stuck(WD_LEAK_PROBE, "leaks.open", 0.0, 3);
-        let mut e = WatchdogEngine::new(vec![rule], 16, SimDuration::from_mins(5));
+        let mut e = WatchdogEngine::new(vec![rule], &mut SlotTable::default(), 16, SimDuration::from_mins(5));
         let plan = FaultPlan::none();
         // Busy but moving: never fires.
         for (i, v) in [5.0, 7.0, 6.0, 9.0, 4.0].into_iter().enumerate() {
-            e.observe_tick(t(i as u64 * 31), &tick(&[("leaks.open", v)]), &plan);
+            e.observe_tick(t(i as u64 * 31), &tick(v), &plan);
         }
         assert!(e.incidents().is_empty());
         // Stuck at 4.0 for `within` ticks: leak.
         for i in 5..10u64 {
-            e.observe_tick(t(i * 31), &tick(&[("leaks.open", 4.0)]), &plan);
+            e.observe_tick(t(i * 31), &tick(4.0), &plan);
         }
         assert_eq!(e.incidents().len(), 1);
         assert_eq!(e.incidents()[0].rule, WD_LEAK_PROBE);
         // Draining to zero closes it.
-        e.observe_tick(t(310), &tick(&[("leaks.open", 0.0)]), &plan);
+        e.observe_tick(t(310), &tick(0.0), &plan);
         assert!(e.incidents()[0].closed_at.is_some());
     }
 
@@ -871,11 +909,11 @@ mod tests {
     #[test]
     fn wd_pressure_watermark_fires_over_watermark() {
         let rule = WatchdogRule::below(WD_PRESSURE_WATERMARK, "scope.pressure_max", 200.0);
-        let mut e = WatchdogEngine::new(vec![rule], 16, SimDuration::from_mins(5));
+        let mut e = WatchdogEngine::new(vec![rule], &mut SlotTable::default(), 16, SimDuration::from_mins(5));
         let plan = FaultPlan::none();
-        e.observe_tick(t(0), &tick(&[("scope.pressure_max", 12.0)]), &plan);
+        e.observe_tick(t(0), &tick(12.0), &plan);
         assert!(e.incidents().is_empty());
-        e.observe_tick(t(31), &tick(&[("scope.pressure_max", 900.0)]), &plan);
+        e.observe_tick(t(31), &tick(900.0), &plan);
         assert_eq!(e.incidents().len(), 1);
         assert_eq!(e.incidents()[0].rule, WD_PRESSURE_WATERMARK);
     }
@@ -887,12 +925,12 @@ mod tests {
     fn wd_shed_episode_watermark_bounds_flap_rate() {
         let rule =
             WatchdogRule::rate_below(WD_SHED_EPISODE_WATERMARK, "fleet_router.shed_episodes", 8.0);
-        let mut e = WatchdogEngine::new(vec![rule], 16, SimDuration::from_mins(5));
+        let mut e = WatchdogEngine::new(vec![rule], &mut SlotTable::default(), 16, SimDuration::from_mins(5));
         let plan = FaultPlan::none();
-        e.observe_tick(t(0), &tick(&[("fleet_router.shed_episodes", 3.0)]), &plan);
-        e.observe_tick(t(31), &tick(&[("fleet_router.shed_episodes", 8.0)]), &plan);
+        e.observe_tick(t(0), &tick(3.0), &plan);
+        e.observe_tick(t(31), &tick(8.0), &plan);
         assert!(e.incidents().is_empty(), "+5 per tick is under the bound");
-        e.observe_tick(t(62), &tick(&[("fleet_router.shed_episodes", 30.0)]), &plan);
+        e.observe_tick(t(62), &tick(30.0), &plan);
         assert_eq!(e.incidents().len(), 1, "+22 in one tick is a flap storm");
         assert_eq!(e.incidents()[0].rule, WD_SHED_EPISODE_WATERMARK);
         assert_eq!(e.incidents()[0].observed, 22.0);
@@ -903,14 +941,14 @@ mod tests {
     #[test]
     fn wd_fenced_while_serving_attributes_to_the_partition() {
         let rule = WatchdogRule::still(WD_FENCED_WHILE_SERVING, "fleet_router.failed_fenced");
-        let mut e = WatchdogEngine::new(vec![rule], 16, SimDuration::from_mins(5));
+        let mut e = WatchdogEngine::new(vec![rule], &mut SlotTable::default(), 16, SimDuration::from_mins(5));
         let plan = FaultPlan::none().with_mesh_partition(
             vec![2],
             SimTime::from_secs(100),
             SimTime::from_secs(400),
         );
-        e.observe_tick(t(50), &tick(&[("fleet_router.failed_fenced", 0.0)]), &plan);
-        e.observe_tick(t(150), &tick(&[("fleet_router.failed_fenced", 3.0)]), &plan);
+        e.observe_tick(t(50), &tick(0.0), &plan);
+        e.observe_tick(t(150), &tick(3.0), &plan);
         assert_eq!(e.incidents().len(), 1);
         let inc = &e.incidents()[0];
         assert!(inc.attributed, "the cut was active: {inc:?}");
@@ -926,12 +964,12 @@ mod tests {
     #[test]
     fn incident_log_is_bounded_but_counts_survive() {
         let rule = WatchdogRule::below(WD_PRESSURE_WATERMARK, "p", 10.0);
-        let mut e = WatchdogEngine::new(vec![rule], 2, SimDuration::from_mins(5));
+        let mut e = WatchdogEngine::new(vec![rule], &mut SlotTable::default(), 2, SimDuration::from_mins(5));
         let plan = FaultPlan::none();
         for i in 0..10u64 {
             // Alternate violating / clean ticks: 5 distinct episodes.
             let v = if i % 2 == 0 { 100.0 } else { 0.0 };
-            e.observe_tick(t(i * 31), &tick(&[("p", v)]), &plan);
+            e.observe_tick(t(i * 31), &tick(v), &plan);
         }
         assert_eq!(e.incidents().len(), 2, "log bounded");
         assert_eq!(e.dropped(), 3);
