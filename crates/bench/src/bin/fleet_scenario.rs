@@ -23,8 +23,7 @@ use presto_bench::report::{render_summary, write_bench_json, BenchJson, MetricLi
 // peak-RSS proxy. The counters are process-cumulative, so the rows are
 // appended here (deltas around the scenario call), never folded into the
 // telemetry snapshot the determinism audit compares.
-#[global_allocator]
-static ALLOC: presto_telemetry::alloc::CountingAlloc = presto_telemetry::alloc::CountingAlloc;
+presto_bench::install_counting_alloc!();
 
 fn main() {
     let arg = std::env::args().nth(1);

@@ -17,6 +17,10 @@ use presto_bench::experiments::render_json;
 use presto_bench::partition::{partition_scenario, PartitionScenarioConfig};
 use presto_bench::report::{render_summary, write_bench_json, BenchJson, MetricLine};
 
+// Counting allocator: the profiler's per-phase `profiler.*.allocs` rows
+// in the BENCH artifact count real allocations.
+presto_bench::install_counting_alloc!();
+
 fn main() {
     let arg = std::env::args().nth(1);
     let quick = arg.as_deref() == Some("--quick");

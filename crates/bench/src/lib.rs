@@ -18,6 +18,29 @@ pub mod report;
 pub mod slice_scenario;
 pub mod table1;
 
+#[doc(hidden)]
+pub use presto_telemetry::alloc::CountingAlloc as __CountingAlloc;
+
+/// Installs the counting allocator
+/// ([`presto_telemetry::alloc::CountingAlloc`]) as the invoking binary's
+/// global allocator. Every scenario binary that writes a `BENCH_*.json`
+/// invokes it once at the crate root, so the profiler's
+/// `profiler.<phase>.allocs` rows count real allocations instead of
+/// reading 0. A macro rather than a library item: a global allocator is
+/// one per program, and test binaries that link this crate install
+/// their own.
+///
+/// ```ignore
+/// presto_bench::install_counting_alloc!();
+/// ```
+#[macro_export]
+macro_rules! install_counting_alloc {
+    () => {
+        #[global_allocator]
+        static ALLOC: $crate::__CountingAlloc = $crate::__CountingAlloc;
+    };
+}
+
 /// Renders a JSON value for machine-readable output next to each table.
 pub fn to_json<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string_pretty(value).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))

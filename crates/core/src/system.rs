@@ -942,6 +942,17 @@ impl PrestoSystem {
         (proxies, stats.hops)
     }
 
+    /// True when [`PrestoSystem::route_range`] would name at least one
+    /// proxy for `[from, to]`, answered without allocating. An empty
+    /// (not yet refreshed) index counts every proxy, as `route_range`
+    /// does.
+    pub fn range_archived(&self, from: SimTime, to: SimTime) -> bool {
+        if self.time_index.is_empty() {
+            return self.config.proxies > 0;
+        }
+        self.time_index.any_overlapping(from, to)
+    }
+
     /// Runs for a duration.
     pub fn run(&mut self, duration: SimDuration) {
         let epochs = duration.div_duration(self.config.lab.epoch);

@@ -93,6 +93,9 @@ pub struct FleetDeployment {
     /// only pressure component that needs a full channel scan (queue
     /// depth and saturation are O(1) live reads).
     depletions: Vec<f64>,
+    /// Reused per-proxy pressure buffer: every submission and every
+    /// epoch's pressure smoothing refill it instead of allocating.
+    pressures: Vec<ProxyPressure>,
     /// Monotonic sequence-namespace allocator for cross-proxy
     /// channels: every channel *incarnation* gets a fresh block, so a
     /// channel rebuilt after its driver crashed can never replay a
@@ -118,6 +121,7 @@ impl FleetDeployment {
             fenced: vec![false; proxies],
             pump_log: Vec::new(),
             depletions: vec![0.0; proxies],
+            pressures: Vec::with_capacity(proxies),
             next_foreign_seq_base: 1 << 48,
         };
         fleet.refresh_depletions();
@@ -202,7 +206,10 @@ impl FleetDeployment {
             .downlink
             .retry_budget_j
             .max(1e-9);
-        let mut min_frac = vec![1.0f64; self.system.config().proxies];
+        // Minimum remaining budget fraction per proxy, folded in place.
+        let min_frac = &mut self.depletions;
+        min_frac.clear();
+        min_frac.resize(self.system.config().proxies, 1.0);
         for gid in 0..self.system.total_sensors() {
             let p = self.system.assignment()[gid];
             let (hp, hs) = self.system.locate(presto_core::gid16(gid));
@@ -211,10 +218,18 @@ impl FleetDeployment {
         for ((fp, _), chan) in self.foreign.iter() {
             min_frac[*fp] = min_frac[*fp].min(chan.budget_remaining_j() / cap);
         }
-        self.depletions = min_frac
-            .into_iter()
-            .map(|f| (1.0 - f).clamp(0.0, 1.0))
-            .collect();
+        for f in min_frac.iter_mut() {
+            *f = (1.0 - *f).clamp(0.0, 1.0);
+        }
+    }
+
+    /// Every proxy's current [`FleetDeployment::pressure`], in the reused
+    /// buffer taken out of `self.pressures` (hand it back when done).
+    fn take_pressures(&mut self) -> Vec<ProxyPressure> {
+        let mut pressures = std::mem::take(&mut self.pressures);
+        pressures.clear();
+        pressures.extend((0..self.system.config().proxies).map(|p| self.pressure(p)));
+        pressures
     }
 
     /// The global sensor id a workload arrival targets (the one
@@ -276,8 +291,7 @@ impl FleetDeployment {
         if self.fenced[entry] || self.fenced[serving] {
             return self.router.fail_fenced(t, entry, query);
         }
-        let proxies = self.system.config().proxies;
-        let mut pressures: Vec<ProxyPressure> = (0..proxies).map(|p| self.pressure(p)).collect();
+        let mut pressures = self.take_pressures();
         // Shed targeting respects the *entry proxy's own* mesh view on
         // top of the quorum grade: a peer the entry cannot reach over
         // the mesh (an asymmetric cut) is no shed target even if the
@@ -295,13 +309,14 @@ impl FleetDeployment {
         let range_archived = match query {
             PipelineQuery::Past { from, to, .. } | PipelineQuery::Aggregate { from, to, .. } => {
                 let slack = SimDuration::from_secs(60);
-                !self.system.route_range(from - slack, to + slack).0.is_empty()
+                self.system.range_archived(from - slack, to + slack)
             }
             PipelineQuery::Now { .. } => true,
         };
         let (ticket, deadline, action) =
             self.router
                 .route(t, entry, serving, query, tolerance, &pressures, range_archived);
+        self.pressures = pressures;
         match action {
             RouteAction::Local { proxy } => {
                 // The router may keep a query at its entry proxy even
@@ -514,8 +529,9 @@ impl FleetDeployment {
         // epoch-level pressure smoothing for the coming epoch's
         // submissions.
         self.refresh_depletions();
-        let pressures: Vec<ProxyPressure> = (0..proxies).map(|p| self.pressure(p)).collect();
+        let pressures = self.take_pressures();
         self.router.observe_pressures(t, &pressures);
+        self.pressures = pressures;
         self.system.profiler_mut().end("fleet_collect", collect_timer);
 
         // 11. presto-scope tick over the *fleet* snapshot (router,

@@ -164,17 +164,18 @@ impl FleetMembership {
         if self.declared_dead[proxy] {
             return Health::Dead;
         }
-        let peers: Vec<usize> = (0..self.proxies)
-            .filter(|&p| p != proxy && !self.declared_dead[p])
-            .collect();
-        if peers.is_empty() {
+        // Counted, not collected: this runs per proxy every epoch and
+        // per submitted query.
+        let peers = (0..self.proxies).filter(|&p| p != proxy && !self.declared_dead[p]);
+        let (mut total, mut live) = (0usize, 0usize);
+        for p in peers {
+            total += 1;
+            live += usize::from(self.views[p].health(proxy) == Health::Live);
+        }
+        if total == 0 {
             return Health::Live;
         }
-        let live = peers
-            .iter()
-            .filter(|&&p| self.views[p].health(proxy) == Health::Live)
-            .count();
-        if 2 * live > peers.len() {
+        if 2 * live > total {
             Health::Live
         } else {
             Health::Suspect

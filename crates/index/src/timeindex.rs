@@ -119,6 +119,22 @@ impl TimeRangeIndex {
         proxies.dedup();
         (proxies, stats)
     }
+
+    /// True when any registered interval overlaps `[from, to]` — the
+    /// same verdict as `!proxies_overlapping(from, to).0.is_empty()`,
+    /// but read straight off the start-keyed side table (whose keys are
+    /// exactly the skip graph's), so it allocates nothing and stops at
+    /// the first overlap. It charges no routing hops.
+    pub fn any_overlapping(&self, from: SimTime, to: SimTime) -> bool {
+        if to < from {
+            return false;
+        }
+        let lo = from.as_micros().saturating_sub(self.max_span_us);
+        self.entries
+            .range(lo..=to.as_micros())
+            .flat_map(|(_, slot)| slot)
+            .any(|e| e.end_us >= from.as_micros())
+    }
 }
 
 #[cfg(test)]
@@ -194,6 +210,31 @@ mod tests {
         assert!(p.is_empty());
         let (p, _) = idx.proxies_overlapping(t(550), t(560));
         assert_eq!(p, vec![1]);
+    }
+
+    proptest::proptest! {
+        /// `any_overlapping` is exactly "`proxies_overlapping` names
+        /// someone", over generated registrations (shared starts,
+        /// re-registrations, long spans) and windows, inverted ones
+        /// included.
+        #[test]
+        fn any_overlapping_matches_proxies_overlapping(
+            intervals in proptest::collection::vec((0usize..4, 0u64..2_000, 0u64..400), 0..24),
+            windows in proptest::collection::vec((0u64..2_600, 0u64..2_600), 1..16),
+        ) {
+            let mut idx = TimeRangeIndex::new(9);
+            for &(proxy, start, len) in &intervals {
+                idx.register(proxy, t(start), t(start + len));
+            }
+            for &(from, to) in &windows {
+                let (from, to) = (t(from), t(to));
+                proptest::prop_assert_eq!(
+                    idx.any_overlapping(from, to),
+                    !idx.proxies_overlapping(from, to).0.is_empty(),
+                    "window [{:?}, {:?}]", from, to
+                );
+            }
+        }
     }
 
     #[test]

@@ -110,11 +110,11 @@ impl EventCache {
     }
 
     /// Events in `[from, to]`, oldest first, via binary search on the
-    /// time-ordered deque.
+    /// time-ordered deque. An inverted window (`to < from`) is empty.
     pub fn range(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = &CachedEvent> {
         let lo = self.events.partition_point(|e| e.t < from);
         let hi = self.events.partition_point(|e| e.t <= to);
-        self.events.iter().skip(lo).take(hi - lo)
+        self.events.range(lo..hi.max(lo))
     }
 
     /// All cached events, oldest first.
@@ -215,23 +215,34 @@ impl SensorCache {
             .copied()
     }
 
-    /// All cached samples in `[from, to]`.
-    pub fn range(&self, from: SimTime, to: SimTime) -> Vec<CachedSample> {
+    /// Deque bounds `lo..hi` of the samples in `[from, to]`, by binary
+    /// search on the time-ordered deque. An inverted window (`to <
+    /// from`) yields the empty range `lo..lo`.
+    fn bounds(&self, from: SimTime, to: SimTime) -> std::ops::Range<usize> {
         let lo = self.samples.partition_point(|s| s.t < from);
         let hi = self.samples.partition_point(|s| s.t <= to);
-        self.samples
-            .iter()
-            .skip(lo)
-            .take(hi - lo)
-            .copied()
-            .collect()
+        lo..hi.max(lo)
+    }
+
+    /// Cached samples in `[from, to]`, oldest first, borrowed from the
+    /// cache (no allocation; the iterator is exact-size, so collecting
+    /// it allocates once). An inverted window (`to < from`) yields
+    /// nothing.
+    pub fn range(
+        &self,
+        from: SimTime,
+        to: SimTime,
+    ) -> std::collections::vec_deque::Iter<'_, CachedSample> {
+        self.samples.range(self.bounds(from, to))
     }
 
     /// Fraction of expected epochs in `[from, to]` that have a cached
-    /// sample, given the sensor's sampling period.
+    /// sample, given the sensor's sampling period. Counts by binary
+    /// search, without touching the samples; an inverted window has
+    /// coverage 0.
     pub fn coverage(&self, from: SimTime, to: SimTime, period: SimDuration) -> f64 {
         let expected = (to - from).div_duration(period).max(1);
-        let have = self.range(from, to).len() as u64;
+        let have = self.bounds(from, to).len() as u64;
         (have as f64 / expected as f64).min(1.0)
     }
 
@@ -273,8 +284,10 @@ mod tests {
         c.insert(s(30, 2.0, CacheSource::Batch));
         c.insert(s(10, 1.0, CacheSource::Batch));
         c.insert(s(20, 1.5, CacheSource::Pushed));
-        let all = c.range(SimTime::ZERO, SimTime::from_secs(100));
-        let ts: Vec<u64> = all.iter().map(|x| x.t.as_secs()).collect();
+        let ts: Vec<u64> = c
+            .range(SimTime::ZERO, SimTime::from_secs(100))
+            .map(|x| x.t.as_secs())
+            .collect();
         assert_eq!(ts, vec![10, 20, 30]);
     }
 
@@ -286,7 +299,9 @@ mod tests {
         }
         assert_eq!(c.len(), 3);
         assert_eq!(
-            c.range(SimTime::ZERO, SimTime::from_secs(100))[0]
+            c.range(SimTime::ZERO, SimTime::from_secs(100))
+                .next()
+                .unwrap()
                 .t
                 .as_secs(),
             20
@@ -299,14 +314,20 @@ mod tests {
         c.insert(s(10, 20.0, CacheSource::Batch));
         c.insert(s(20, 21.0, CacheSource::Batch));
         c.insert(s(10, 19.5, CacheSource::Pulled));
-        let all = c.range(SimTime::ZERO, SimTime::from_secs(100));
+        let all: Vec<CachedSample> = c
+            .range(SimTime::ZERO, SimTime::from_secs(100))
+            .copied()
+            .collect();
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].value, 19.5);
         assert_eq!(all[0].source, CacheSource::Pulled);
         // A later lossy view must not clobber pulled truth.
         c.insert(s(10, 25.0, CacheSource::Batch));
         assert_eq!(
-            c.range(SimTime::ZERO, SimTime::from_secs(15))[0].value,
+            c.range(SimTime::ZERO, SimTime::from_secs(15))
+                .next()
+                .unwrap()
+                .value,
             19.5
         );
     }
@@ -341,6 +362,25 @@ mod tests {
             SimDuration::from_secs(31),
         );
         assert_eq!(empty, 0.0);
+    }
+
+    #[test]
+    fn inverted_window_is_empty() {
+        let mut c = SensorCache::new(100);
+        for i in 0..10u64 {
+            c.insert(s(i * 10, i as f64, CacheSource::Batch));
+        }
+        let (from, to) = (SimTime::from_secs(60), SimTime::from_secs(20));
+        assert_eq!(c.range(from, to).count(), 0);
+        assert_eq!(c.coverage(from, to, SimDuration::from_secs(10)), 0.0);
+        // The window [20, 60] itself is not empty.
+        assert_eq!(c.range(to, from).len(), 5);
+        let mut e = EventCache::new(100);
+        for i in 0..10u64 {
+            e.insert(ev(i * 10, 0, 1));
+        }
+        assert_eq!(e.range(from, to).count(), 0);
+        assert_eq!(e.range(to, from).count(), 5);
     }
 
     #[test]
@@ -417,14 +457,17 @@ mod tests {
         assert_eq!(c.len(), 3);
         let ts: Vec<u64> = c
             .range(SimTime::ZERO, SimTime::from_secs(100))
-            .iter()
             .map(|x| x.t.as_secs())
             .collect();
         assert_eq!(ts, vec![20, 25, 30]);
         c.insert(s(5, 0.5, CacheSource::Batch)); // older than everything
         assert_eq!(c.len(), 3);
         assert_eq!(
-            c.range(SimTime::ZERO, SimTime::from_secs(100))[0].t.as_secs(),
+            c.range(SimTime::ZERO, SimTime::from_secs(100))
+                .next()
+                .unwrap()
+                .t
+                .as_secs(),
             20,
             "incoming oldest-ever sample is dropped, cache untouched"
         );

@@ -28,13 +28,14 @@
 //! completed with a real answer or failed honestly (`Failed`, sigma ∞).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use presto_sensor::AggregateOp;
 use presto_sim::{SimDuration, SimTime};
 use presto_telemetry::QueryTracer;
 
 use crate::proxy::{Answer, PastAnswer};
-use crate::slice::{SliceConfig, SliceSpec, TieredSliceCache};
+use crate::slice::{SliceConfig, SliceSamples, SliceSpec, TieredSliceCache};
 
 /// Pipeline parameters.
 #[derive(Clone, Debug)]
@@ -126,6 +127,18 @@ impl PipelineQuery {
             PipelineQuery::Now { sensor, .. }
             | PipelineQuery::Past { sensor, .. }
             | PipelineQuery::Aggregate { sensor, .. } => *sensor,
+        }
+    }
+
+    /// True when the query's window is inverted (`to < from`). Such a
+    /// window holds no instant, so the query terminates at submission
+    /// as an honest failure with no samples.
+    pub fn window_inverted(&self) -> bool {
+        match *self {
+            PipelineQuery::Now { .. } => false,
+            PipelineQuery::Past { from, to, .. } | PipelineQuery::Aggregate { from, to, .. } => {
+                to < from
+            }
         }
     }
 }
@@ -247,8 +260,9 @@ pub(crate) struct SlicePart {
     /// into one sub-RPC exactly like monolithic pulls do.
     pub key: PullKey,
     /// Samples once the slice is served (from cache or radio), trimmed
-    /// to the slice span.
-    pub samples: Option<Vec<(SimTime, f64)>>,
+    /// to the slice span — the same shared allocation the slice cache
+    /// holds.
+    pub samples: Option<SliceSamples>,
     /// Re-bounded per-slice sigma ([`crate::slice::slice_sigma`]).
     pub sigma: f64,
     /// The in-flight sub-RPC fetching this slice, once issued.
@@ -368,7 +382,8 @@ struct CachedReply {
     /// When the sensor served the reply: the archive span the samples
     /// cover ends here, whatever the window asked for.
     served_at: SimTime,
-    samples: Vec<(SimTime, f64)>,
+    /// Shared so a hit hands out a reference, not a copy.
+    samples: Arc<[(SimTime, f64)]>,
 }
 
 /// Shared pull-reply cache: one entry per (sensor, window, tolerance),
@@ -398,7 +413,12 @@ impl PullReplyCache {
     /// Inserts a served reply, evicting the oldest beyond capacity. A
     /// re-pull of the same key replaces the older entry (the newer
     /// serving covers at least as much of the window).
-    pub(crate) fn insert(&mut self, key: PullKey, served_at: SimTime, samples: Vec<(SimTime, f64)>) {
+    pub(crate) fn insert(
+        &mut self,
+        key: PullKey,
+        served_at: SimTime,
+        samples: Arc<[(SimTime, f64)]>,
+    ) {
         if self.capacity == 0 {
             return;
         }
@@ -427,7 +447,14 @@ impl PullReplyCache {
     /// (`served_at == needed_through` hits; only `served_at <
     /// needed_through` — an open gap of at least one tick — rejects).
     /// Pinned by `reply_cache_serves_at_exact_freshness_boundary`.
-    pub(crate) fn lookup(&mut self, key: PullKey, needed_through: SimTime) -> Option<&[(SimTime, f64)]> {
+    ///
+    /// A hit returns a shared reference to the cached samples (a
+    /// refcount bump, not a copy).
+    pub(crate) fn lookup(
+        &mut self,
+        key: PullKey,
+        needed_through: SimTime,
+    ) -> Option<Arc<[(SimTime, f64)]>> {
         let Some(pos) = self.entries.iter().position(|e| e.key == key) else {
             self.misses += 1;
             return None;
@@ -438,7 +465,7 @@ impl PullReplyCache {
             return None;
         }
         self.hits += 1;
-        Some(&self.entries[pos].samples)
+        Some(Arc::clone(&self.entries[pos].samples))
     }
 
     /// Cached replies currently held.
@@ -586,7 +613,7 @@ mod tests {
     #[test]
     fn reply_cache_serves_exact_key() {
         let mut c = PullReplyCache::new(4);
-        c.insert(key(0, 100), SimTime::from_secs(100), vec![(SimTime::from_secs(50), 1.0)]);
+        c.insert(key(0, 100), SimTime::from_secs(100), [(SimTime::from_secs(50), 1.0)].into());
         assert!(c.lookup(key(0, 100), SimTime::from_secs(100)).is_some());
         assert!(c.lookup(key(0, 101), SimTime::from_secs(100)).is_none());
         assert_eq!(c.hits(), 1);
@@ -599,7 +626,7 @@ mod tests {
         // window's end was still in the future at serve time) must not
         // answer a later query demanding coverage through t=200.
         let mut c = PullReplyCache::new(4);
-        c.insert(key(0, 200), SimTime::from_secs(100), vec![(SimTime::from_secs(90), 1.0)]);
+        c.insert(key(0, 200), SimTime::from_secs(100), [(SimTime::from_secs(90), 1.0)].into());
         assert!(
             c.lookup(key(0, 200), SimTime::from_secs(200)).is_none(),
             "stale reply served past its coverage"
@@ -617,7 +644,7 @@ mod tests {
         // and must serve. One tick of uncovered window must reject.
         let mut c = PullReplyCache::new(4);
         let served = SimTime::from_secs(200);
-        c.insert(key(0, 200), served, vec![(SimTime::from_secs(150), 1.0)]);
+        c.insert(key(0, 200), served, [(SimTime::from_secs(150), 1.0)].into());
         assert!(
             c.lookup(key(0, 200), served).is_some(),
             "served_at == needed_through is full coverage and must hit"
@@ -634,7 +661,7 @@ mod tests {
     fn reply_cache_bounds_capacity_fifo() {
         let mut c = PullReplyCache::new(2);
         for i in 0..3u64 {
-            c.insert(key(i, i + 10), SimTime::from_secs(i + 10), Vec::new());
+            c.insert(key(i, i + 10), SimTime::from_secs(i + 10), Arc::new([]));
         }
         assert_eq!(c.len(), 2);
         assert!(c.lookup(key(0, 10), SimTime::ZERO).is_none(), "oldest evicted");
@@ -644,8 +671,8 @@ mod tests {
     #[test]
     fn reply_cache_repull_replaces_entry() {
         let mut c = PullReplyCache::new(4);
-        c.insert(key(0, 100), SimTime::from_secs(100), vec![(SimTime::from_secs(10), 1.0)]);
-        c.insert(key(0, 100), SimTime::from_secs(300), vec![(SimTime::from_secs(10), 2.0)]);
+        c.insert(key(0, 100), SimTime::from_secs(100), [(SimTime::from_secs(10), 1.0)].into());
+        c.insert(key(0, 100), SimTime::from_secs(300), [(SimTime::from_secs(10), 2.0)].into());
         assert_eq!(c.len(), 1);
         let s = c.lookup(key(0, 100), SimTime::from_secs(200)).expect("fresh entry");
         assert_eq!(s[0].1, 2.0, "newest serving wins");

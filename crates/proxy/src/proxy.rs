@@ -17,6 +17,7 @@
 //! [`AnswerSource::Failed`] answers.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use presto_models::SpatialGaussian;
 use presto_net::Mac;
@@ -32,7 +33,7 @@ use crate::pipeline::{
     op_key, CompletedQuery, PendingQuery, PipelineAnswer, PipelineConfig, PipelineQuery,
     PullKey, PullReplyCache, QueryPipeline, SlicePart,
 };
-use crate::slice;
+use crate::slice::{self, SliceKey, SliceSamples};
 
 /// Proxy configuration.
 #[derive(Clone, Debug)]
@@ -735,12 +736,7 @@ impl PrestoProxy {
         if coverage >= self.config.past_coverage_hit {
             self.stats.cache_hits += 1;
             return Some(PastAnswer {
-                samples: slot
-                    .cache
-                    .range(from, to)
-                    .into_iter()
-                    .map(|s| (s.t, s.value))
-                    .collect(),
+                samples: slot.cache.range(from, to).map(|s| (s.t, s.value)).collect(),
                 source: AnswerSource::CacheHit,
                 latency: SimDuration::from_millis(2),
             });
@@ -757,15 +753,15 @@ impl PrestoProxy {
                 // across prediction times), leaving the seasonal shape
                 // plus the true value at the anchor — which is exactly
                 // the trajectory the push-tolerance guarantee bounds.
-                let anchors = slot.cache.range(installed, to);
+                let mut anchors = slot.cache.range(installed, to).peekable();
+                let mut anchor = anchors.next();
                 let mut samples = Vec::new();
                 let mut ts = from;
-                let mut ai = 0usize;
                 while ts <= to {
-                    while ai + 1 < anchors.len() && anchors[ai + 1].t <= ts {
-                        ai += 1;
+                    while let Some(next) = anchors.next_if(|a| a.t <= ts) {
+                        anchor = Some(next);
                     }
-                    let v = match anchors.get(ai) {
+                    let v = match anchor {
                         Some(a) if a.t <= ts => {
                             m.model.predict(ts).value - m.model.predict(a.t).value + a.value
                         }
@@ -799,7 +795,9 @@ impl PrestoProxy {
         chan: &mut DownlinkChannel,
     ) -> PastAnswer {
         self.stats.past_queries += 1;
-        if !self.sensors.contains_key(&sensor) {
+        // An unknown sensor or an inverted window (`to < from`) holds
+        // nothing to answer with: an honest failure, at once.
+        if !self.sensors.contains_key(&sensor) || to < from {
             return PastAnswer {
                 samples: Vec::new(),
                 source: AnswerSource::Failed,
@@ -822,7 +820,6 @@ impl PrestoProxy {
                 samples: self.sensors[&sensor]
                     .cache
                     .range(from, to)
-                    .into_iter()
                     .map(|s| (s.t, s.value))
                     .collect(),
                 source: AnswerSource::Failed,
@@ -843,12 +840,7 @@ impl PrestoProxy {
         let slot = self.sensors.get(&sensor)?;
         let coverage = slot.cache.coverage(from, to, self.config.sample_period);
         if coverage >= self.config.past_coverage_hit {
-            let values: Vec<f64> = slot
-                .cache
-                .range(from, to)
-                .into_iter()
-                .map(|s| s.value)
-                .collect();
+            let values: Vec<f64> = slot.cache.range(from, to).map(|s| s.value).collect();
             self.stats.cache_hits += 1;
             return Some(Answer {
                 value: presto_sensor::evaluate_aggregate(op, &values),
@@ -877,7 +869,8 @@ impl PrestoProxy {
         chan: &mut DownlinkChannel,
     ) -> Answer {
         self.stats.past_queries += 1;
-        if !self.sensors.contains_key(&sensor) {
+        // As in `answer_past`: unknown sensor or inverted window.
+        if !self.sensors.contains_key(&sensor) || to < from {
             return Answer {
                 value: f64::NAN,
                 sigma: f64::INFINITY,
@@ -1190,7 +1183,9 @@ impl PrestoProxy {
                 self.stats.past_queries += 1
             }
         }
-        if !self.sensors.contains_key(&query.sensor()) {
+        // An unknown sensor, or an inverted window (`to < from`, which
+        // holds no instant), fails honestly at submission.
+        if !self.sensors.contains_key(&query.sensor()) || query.window_inverted() {
             let answer = self.failed_answer(&query, SimDuration::ZERO);
             self.pipeline.stats.failed += 1;
             self.finish_trace(id, t, &answer);
@@ -1337,9 +1332,8 @@ impl PrestoProxy {
         // in which case a fresh pull is the only honest answer.
         if matches!(key, PullKey::Pull { .. }) {
             if let Some(samples) = self.pipeline.reply_cache.lookup(key, pull_to) {
-                let samples = samples.to_vec();
                 let answer =
-                    self.answer_from_samples(&query, &samples, SimDuration::from_millis(2));
+                    self.answer_from_samples(&query, &samples[..], SimDuration::from_millis(2));
                 self.pipeline.stats.completed_cached += 1;
                 self.pipeline.tracer.record(
                     id,
@@ -1379,8 +1373,10 @@ impl PrestoProxy {
 
     /// Joins a sliced query's served parts into its answer: concatenate
     /// in slice order, trim to the queried window, re-bound with the
-    /// worst per-slice sigma. An empty assembly falls through to the
-    /// honest failure answer.
+    /// worst per-slice sigma. The parts are borrowed and the answer's
+    /// samples are built in one exact-size pass, then moved into the
+    /// answer. An empty assembly falls through to the honest failure
+    /// answer.
     fn assemble_sliced(
         &self,
         query: &PipelineQuery,
@@ -1391,13 +1387,10 @@ impl PrestoProxy {
             PipelineQuery::Past { from, to, .. } => (from, to),
             _ => (SimTime::ZERO, SimTime::MAX),
         };
-        let runs: Vec<Vec<(SimTime, f64)>> = parts
-            .iter()
-            .map(|p| p.samples.clone().unwrap_or_default())
-            .collect();
-        let samples = slice::assemble(&runs, from, to);
+        let runs = parts.iter().map(|p| p.samples.as_deref().unwrap_or_default());
+        let samples = slice::assemble(runs, from, to);
         let sigma = parts.iter().map(|p| p.sigma).fold(0.0f64, f64::max);
-        (self.answer_from_samples(query, &samples, latency), sigma)
+        (self.answer_from_samples(query, samples, latency), sigma)
     }
 
     /// The radio work a precision-missed query needs: its pull window,
@@ -1479,13 +1472,7 @@ impl PrestoProxy {
                 let samples = self
                     .sensors
                     .get(&sensor)
-                    .map(|s| {
-                        s.cache
-                            .range(from, to)
-                            .into_iter()
-                            .map(|cs| (cs.t, cs.value))
-                            .collect()
-                    })
+                    .map(|s| s.cache.range(from, to).map(|cs| (cs.t, cs.value)).collect())
                     .unwrap_or_default();
                 PipelineAnswer::Series(PastAnswer {
                     samples,
@@ -1505,15 +1492,21 @@ impl PrestoProxy {
 
     /// Builds a query's answer from a pull reply's samples, mirroring
     /// the blocking path's value extraction exactly (value-identity is
-    /// pinned by the pipeline-equivalence property test).
-    fn answer_from_samples(
+    /// pinned by the pipeline-equivalence property test). A PAST answer
+    /// takes the samples as they come: an owned `Vec` moves into the
+    /// answer, a borrowed slice is copied once; NOW reads only the last
+    /// sample and copies nothing.
+    fn answer_from_samples<S>(
         &self,
         query: &PipelineQuery,
-        samples: &[(SimTime, f64)],
+        samples: S,
         latency: SimDuration,
-    ) -> PipelineAnswer {
+    ) -> PipelineAnswer
+    where
+        S: AsRef<[(SimTime, f64)]> + Into<Vec<(SimTime, f64)>>,
+    {
         match *query {
-            PipelineQuery::Now { tolerance, .. } => match samples.last() {
+            PipelineQuery::Now { tolerance, .. } => match samples.as_ref().last() {
                 Some(&(st, v)) => PipelineAnswer::Scalar(Answer {
                     value: v,
                     sigma: tolerance / 2.0,
@@ -1524,11 +1517,11 @@ impl PrestoProxy {
                 None => self.failed_answer(query, latency),
             },
             PipelineQuery::Past { .. } => {
-                if samples.is_empty() {
+                if samples.as_ref().is_empty() {
                     self.failed_answer(query, latency)
                 } else {
                     PipelineAnswer::Series(PastAnswer {
-                        samples: samples.to_vec(),
+                        samples: samples.into(),
                         source: AnswerSource::Pulled,
                         latency,
                     })
@@ -1823,7 +1816,7 @@ impl PrestoProxy {
                             samples: reply_samples,
                             ..
                         } => {
-                            let samples: Vec<(SimTime, f64)> =
+                            let samples: Arc<[(SimTime, f64)]> =
                                 reply_samples.iter().map(|s| (s.t, s.value)).collect();
                             // Fill every live query's slice parts this
                             // reply serves, and cache the slice once.
@@ -1837,35 +1830,38 @@ impl PrestoProxy {
                                 .slice
                                 .as_ref()
                                 .map_or(0.05, |c| c.aging_quant_step);
-                            let mut slice_insert = None;
+                            //
+                            // Every part riding this RPC shares its pull
+                            // key (coalescing is by key), hence its slice
+                            // span and tolerance: the slice is trimmed
+                            // and re-bounded once, and that one shared
+                            // allocation fills every part and the cache.
+                            let mut slice_insert: Option<(SliceKey, SimTime, f64, SliceSamples)> =
+                                None;
                             for q in live.iter_mut() {
                                 let mut filled = false;
                                 for p in q.parts.iter_mut() {
                                     if p.rpc_qid != Some(query_id) {
                                         continue;
                                     }
-                                    let trimmed: Vec<(SimTime, f64)> = samples
-                                        .iter()
-                                        .copied()
-                                        .filter(|&(st, _)| {
-                                            st >= p.spec.from && st <= p.spec.to
-                                        })
-                                        .collect();
-                                    let sigma = slice::slice_sigma(
-                                        q.pull_tolerance,
-                                        reply_samples.iter().map(|s| s.quality),
-                                        quant,
-                                    );
-                                    if slice_insert.is_none() {
-                                        slice_insert = Some((
-                                            p.spec.key,
-                                            p.spec.span_end,
-                                            sigma,
-                                            trimmed.clone(),
-                                        ));
-                                    }
-                                    p.sigma = sigma;
-                                    p.samples = Some(trimmed);
+                                    let (_, _, sigma, trimmed) =
+                                        slice_insert.get_or_insert_with(|| {
+                                            let trimmed: SliceSamples = samples
+                                                .iter()
+                                                .copied()
+                                                .filter(|&(st, _)| {
+                                                    st >= p.spec.from && st <= p.spec.to
+                                                })
+                                                .collect();
+                                            let sigma = slice::slice_sigma(
+                                                q.pull_tolerance,
+                                                reply_samples.iter().map(|s| s.quality),
+                                                quant,
+                                            );
+                                            (p.spec.key, p.spec.span_end, sigma, trimmed)
+                                        });
+                                    p.sigma = *sigma;
+                                    p.samples = Some(Arc::clone(trimmed));
                                     p.rpc_qid = None;
                                     filled = true;
                                 }
@@ -1882,22 +1878,11 @@ impl PrestoProxy {
                                     trimmed,
                                 );
                             }
-                            if let Some(first) = served.first() {
-                                // Share the reply: later queries over
-                                // this span skip the radio. `sent_at`
-                                // is the sensor-side serving time — the
-                                // instant the samples' coverage ends.
-                                self.pipeline.reply_cache.insert(
-                                    first.key,
-                                    reply.sent_at,
-                                    samples.clone(),
-                                );
-                            }
-                            for q in served {
+                            for q in served.iter() {
                                 let latency =
                                     (t - q.submitted_at) + attempt_latency + reply_air;
                                 let answer =
-                                    self.answer_from_samples(&q.query, &samples, latency);
+                                    self.answer_from_samples(&q.query, &samples[..], latency);
                                 self.pipeline.stats.completed_pull += 1;
                                 self.finish_trace(q.id, t, &answer);
                                 self.pipeline.completed.push(CompletedQuery {
@@ -1907,6 +1892,17 @@ impl PrestoProxy {
                                     submitted_at: q.submitted_at,
                                     completed_at: t,
                                 });
+                            }
+                            if let Some(first) = served.first() {
+                                // Share the reply: later queries over
+                                // this span skip the radio. `sent_at`
+                                // is the sensor-side serving time — the
+                                // instant the samples' coverage ends.
+                                self.pipeline.reply_cache.insert(
+                                    first.key,
+                                    reply.sent_at,
+                                    samples,
+                                );
                             }
                         }
                         UplinkPayload::AggregateReply {

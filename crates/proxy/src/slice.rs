@@ -15,9 +15,10 @@
 //! * each missing slice becomes its own sub-RPC through the existing
 //!   async downlink machinery (per-slice retry, deferral, and
 //!   coalescing across queries);
-//! * the **assembler** ([`assemble`]) joins per-slice replies back
-//!   into the query's window and re-bounds the result with the worst
-//!   per-slice codec/aging sigma ([`slice_sigma`]);
+//! * the **assembler** ([`assemble`]) joins per-slice runs back into
+//!   the query's window in one exact-size pass over borrowed slices,
+//!   and the answer re-bounds the result with the worst per-slice
+//!   codec/aging sigma ([`slice_sigma`]);
 //! * complete slices land in a **two-tier cache** ([`TieredSliceCache`]):
 //!   a hot L1 in RAM and a bounded L2 spill, with promotion back to L1
 //!   on an L2 hit. A sub-window of any previously pulled span is served
@@ -29,8 +30,15 @@
 //! cached, so a cached slice is immutable and can never serve data it
 //! does not have. The trailing, still-filling slice of a window is
 //! re-pulled each time.
+//!
+//! Because a cached slice never changes, it is stored once as a shared
+//! [`SliceSamples`] (`Arc<[(SimTime, f64)]>`): the pump builds the
+//! trimmed slice once and hands the same allocation to the cache and to
+//! every query part it fills, and a cache hit bumps a refcount instead
+//! of copying the samples.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use presto_archive::Quality;
 use presto_sim::{SimDuration, SimTime};
@@ -145,16 +153,31 @@ pub fn plan(
     )
 }
 
+/// One slice's samples, shared and immutable: the slice cache and every
+/// query part the slice fills hold the same allocation.
+pub type SliceSamples = Arc<[(SimTime, f64)]>;
+
 /// Joins per-slice sample runs (oldest slice first) back into the
 /// query's window: concatenation plus an inclusive `[from, to]` trim.
-/// Slices partition time, so no dedup is needed.
-pub fn assemble(parts: &[Vec<(SimTime, f64)>], from: SimTime, to: SimTime) -> Vec<(SimTime, f64)> {
-    parts
-        .iter()
-        .flatten()
-        .copied()
-        .filter(|&(t, _)| t >= from && t <= to)
-        .collect()
+/// Slices partition time, so no dedup is needed. The runs are borrowed;
+/// the result is allocated once at its exact size (a counting pass,
+/// then one copy of the samples inside the window).
+pub fn assemble<'a, I>(parts: I, from: SimTime, to: SimTime) -> Vec<(SimTime, f64)>
+where
+    I: IntoIterator<Item = &'a [(SimTime, f64)]>,
+    I::IntoIter: Clone,
+{
+    let parts = parts.into_iter();
+    let inside = |&&(t, _): &&(SimTime, f64)| t >= from && t <= to;
+    let len = parts
+        .clone()
+        .map(|run| run.iter().filter(inside).count())
+        .sum();
+    let mut out = Vec::with_capacity(len);
+    for run in parts {
+        out.extend(run.iter().filter(inside).copied());
+    }
+    out
 }
 
 /// Re-bounds one slice's error from its reply: the codec reconstruction
@@ -182,7 +205,7 @@ struct SliceEntry {
     key: SliceKey,
     /// Re-bounded per-slice sigma (codec/aging, [`slice_sigma`]).
     sigma: f64,
-    samples: Vec<(SimTime, f64)>,
+    samples: SliceSamples,
 }
 
 /// Two-tier slice cache counters. Invariants the equivalence property
@@ -255,6 +278,10 @@ presto_telemetry::observe_counters!(SliceCacheStats {
 /// neither ever exceeds its capacity, even transiently (the
 /// push-then-evict pattern the summary caches used to have is exactly
 /// what this store avoids).
+///
+/// Entries are complete slices, so they are immutable: each is held as
+/// a shared [`SliceSamples`], and a hit (either tier) hands out another
+/// reference to it — a refcount bump, never a copy of the samples.
 #[derive(Clone, Debug)]
 pub struct TieredSliceCache {
     /// Hot tier, LRU order: front is coldest, back is hottest.
@@ -344,7 +371,7 @@ impl TieredSliceCache {
         span_end: SimTime,
         served_at: SimTime,
         sigma: f64,
-        samples: Vec<(SimTime, f64)>,
+        samples: SliceSamples,
     ) {
         if served_at < span_end {
             self.stats.incomplete_skips += 1;
@@ -361,14 +388,14 @@ impl TieredSliceCache {
     }
 
     /// Looks up a slice: an L1 hit refreshes its recency, an L2 hit
-    /// promotes the entry back into L1. Returns the samples and the
-    /// slice's re-bounded sigma.
-    pub fn lookup(&mut self, key: SliceKey) -> Option<(Vec<(SimTime, f64)>, f64)> {
+    /// promotes the entry back into L1. Returns a shared reference to
+    /// the samples (no copy) and the slice's re-bounded sigma.
+    pub fn lookup(&mut self, key: SliceKey) -> Option<(SliceSamples, f64)> {
         self.stats.lookups += 1;
         if let Some(pos) = self.l1.iter().position(|e| e.key == key) {
             self.stats.l1_hits += 1;
             if let Some(entry) = self.l1.remove(pos) {
-                let out = (entry.samples.clone(), entry.sigma);
+                let out = (Arc::clone(&entry.samples), entry.sigma);
                 self.l1.push_back(entry);
                 return Some(out);
             }
@@ -377,7 +404,7 @@ impl TieredSliceCache {
             self.stats.l2_hits += 1;
             if let Some(entry) = self.l2.remove(pos) {
                 self.stats.promotions += 1;
-                let out = (entry.samples.clone(), entry.sigma);
+                let out = (Arc::clone(&entry.samples), entry.sigma);
                 self.push_l1(entry);
                 return Some(out);
             }
@@ -405,6 +432,10 @@ mod tests {
 
     fn hour(h: u64) -> SimTime {
         SimTime::from_hours(h)
+    }
+
+    fn empty() -> SliceSamples {
+        Arc::new([])
     }
 
     #[test]
@@ -442,16 +473,17 @@ mod tests {
 
     #[test]
     fn assembler_trims_to_window() {
-        let parts = vec![
+        let parts = [
             vec![(hour(1), 1.0), (hour(1) + SimDuration::from_mins(30), 2.0)],
             vec![(hour(2), 3.0), (hour(2) + SimDuration::from_mins(30), 4.0)],
         ];
         let joined = assemble(
-            &parts,
+            parts.iter().map(Vec::as_slice),
             hour(1) + SimDuration::from_mins(10),
             hour(2) + SimDuration::from_mins(10),
         );
         assert_eq!(joined, vec![(hour(1) + SimDuration::from_mins(30), 2.0), (hour(2), 3.0)]);
+        assert_eq!(joined.capacity(), joined.len(), "exact-size allocation");
     }
 
     #[test]
@@ -466,14 +498,20 @@ mod tests {
     fn tiered_cache_promotes_and_demotes() {
         let mut c = TieredSliceCache::new(2, 4);
         for i in 0..4u64 {
-            c.insert(key(i), hour(i + 1), hour(i + 1), 0.1, vec![(hour(i), i as f64)]);
+            c.insert(
+                key(i),
+                hour(i + 1),
+                hour(i + 1),
+                0.1,
+                [(hour(i), i as f64)].into(),
+            );
         }
         // L1 holds {2, 3}; {0, 1} were demoted.
         assert_eq!(c.stats().demotions, 2);
         assert_eq!(c.len(), 4);
         // L2 hit promotes 0 back to L1 (demoting 2).
         let (samples, sigma) = c.lookup(key(0)).expect("still cached in L2");
-        assert_eq!(samples, vec![(hour(0), 0.0)]);
+        assert_eq!(*samples, [(hour(0), 0.0)]);
         assert_eq!(sigma, 0.1);
         let s = c.stats();
         assert_eq!(s.l2_hits, 1);
@@ -492,12 +530,18 @@ mod tests {
     fn tiered_cache_rejects_incomplete_slices() {
         let mut c = TieredSliceCache::new(4, 4);
         // Served before the span end: the slice was still filling.
-        c.insert(key(7), hour(8), hour(7) + SimDuration::from_mins(30), 0.1, Vec::new());
+        c.insert(
+            key(7),
+            hour(8),
+            hour(7) + SimDuration::from_mins(30),
+            0.1,
+            empty(),
+        );
         assert!(c.is_empty());
         assert_eq!(c.stats().incomplete_skips, 1);
         assert!(c.lookup(key(7)).is_none());
         // Served exactly at the span end: complete, cacheable.
-        c.insert(key(7), hour(8), hour(8), 0.1, Vec::new());
+        c.insert(key(7), hour(8), hour(8), 0.1, empty());
         assert_eq!(c.len(), 1);
         assert!(c.lookup(key(7)).is_some());
     }
@@ -506,7 +550,7 @@ mod tests {
     fn tiered_cache_never_exceeds_capacity() {
         let mut c = TieredSliceCache::new(2, 2);
         for i in 0..10u64 {
-            c.insert(key(i), hour(i + 1), hour(i + 1), 0.1, Vec::new());
+            c.insert(key(i), hour(i + 1), hour(i + 1), 0.1, empty());
             assert!(c.l1.len() <= 2, "L1 overflow at insert {i}");
             assert!(c.l2.len() <= 2, "L2 overflow at insert {i}");
         }
@@ -516,8 +560,8 @@ mod tests {
         assert_eq!(s.evictions, 6, "spill-tier drops");
         // No spill tier: L1 evictions drop outright.
         let mut d = TieredSliceCache::new(1, 0);
-        d.insert(key(0), hour(1), hour(1), 0.1, Vec::new());
-        d.insert(key(1), hour(2), hour(2), 0.1, Vec::new());
+        d.insert(key(0), hour(1), hour(1), 0.1, empty());
+        d.insert(key(1), hour(2), hour(2), 0.1, empty());
         assert_eq!(d.len(), 1);
         assert_eq!(d.stats().evictions, 1);
         assert_eq!(d.stats().demotions, 0);
@@ -526,17 +570,37 @@ mod tests {
     #[test]
     fn reinsert_replaces_in_place() {
         let mut c = TieredSliceCache::new(2, 2);
-        c.insert(key(0), hour(1), hour(1), 0.1, vec![(hour(0), 1.0)]);
-        c.insert(key(0), hour(1), hour(2), 0.1, vec![(hour(0), 2.0)]);
+        c.insert(key(0), hour(1), hour(1), 0.1, [(hour(0), 1.0)].into());
+        c.insert(key(0), hour(1), hour(2), 0.1, [(hour(0), 2.0)].into());
         assert_eq!(c.len(), 1);
         let (samples, _) = c.lookup(key(0)).expect("cached");
         assert_eq!(samples[0].1, 2.0, "newest serving wins");
     }
 
     #[test]
+    fn lookup_shares_the_cached_slice() {
+        let mut c = TieredSliceCache::new(1, 1);
+        let samples: SliceSamples =
+            [(hour(0), 1.0), (hour(0) + SimDuration::from_mins(1), 2.0)].into();
+        c.insert(key(0), hour(1), hour(1), 0.1, Arc::clone(&samples));
+        let (l1_hit, _) = c.lookup(key(0)).expect("L1 hit");
+        assert!(
+            Arc::ptr_eq(&l1_hit, &samples),
+            "an L1 hit is the inserted slice"
+        );
+        // Demote to L2, then promote back: still the same allocation.
+        c.insert(key(1), hour(2), hour(2), 0.1, empty());
+        let (l2_hit, _) = c.lookup(key(0)).expect("L2 hit");
+        assert!(
+            Arc::ptr_eq(&l2_hit, &samples),
+            "an L2 hit is the inserted slice"
+        );
+    }
+
+    #[test]
     fn clear_keeps_counters() {
         let mut c = TieredSliceCache::new(2, 2);
-        c.insert(key(0), hour(1), hour(1), 0.1, Vec::new());
+        c.insert(key(0), hour(1), hour(1), 0.1, empty());
         assert!(c.lookup(key(0)).is_some());
         c.clear();
         assert!(c.is_empty());

@@ -10,10 +10,12 @@
 //!     presto_telemetry::alloc::CountingAlloc;
 //! ```
 //!
-//! and read [`allocation_count`] before/after the measured phase. The
-//! counters are relaxed atomics — cheap enough to leave on for a whole
-//! scenario run — and the type delegates straight to the system
-//! allocator, so behavior is otherwise unchanged.
+//! (presto-bench's scenario binaries do so through its
+//! `install_counting_alloc!` macro) and read [`allocation_count`]
+//! before/after the measured phase. The counters are relaxed atomics —
+//! cheap enough to leave on for a whole scenario run — and the type
+//! delegates straight to the system allocator, so behavior is
+//! otherwise unchanged.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

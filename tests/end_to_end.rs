@@ -3,7 +3,8 @@
 //! and the paper's energy hierarchy verified on the aggregate ledgers.
 
 use presto::core::{PrestoSystem, StoreQuery, SystemConfig, UnifiedStore};
-use presto::proxy::AnswerSource;
+use presto::proxy::{AnswerSource, PipelineAnswer};
+use presto::sensor::AggregateOp;
 use presto::sim::{EnergyCategory, SimDuration, SimTime};
 
 fn trained_system(days: u64) -> PrestoSystem {
@@ -124,4 +125,58 @@ fn deterministic_end_to_end() {
     };
     assert_eq!(energy(3), energy(3));
     assert_ne!(energy(3), energy(4));
+}
+
+/// Regression: an inverted window (`to < from`) used to underflow the
+/// summary cache's range arithmetic — a debug build panicked, a release
+/// build returned a confident `CacheHit` full of samples from outside
+/// the window. It must fail honestly at once, with no samples, on the
+/// pipeline and on the blocking store path alike.
+#[test]
+fn inverted_windows_fail_honestly_with_no_samples() {
+    let mut sys = PrestoSystem::new(SystemConfig {
+        proxies: 1,
+        sensors_per_proxy: 2,
+        ..SystemConfig::default()
+    });
+    sys.run(SimDuration::from_hours(3));
+    let (from, to) = (SimTime::from_hours(2), SimTime::from_hours(1));
+    let past = StoreQuery::Past {
+        sensor: 0,
+        from,
+        to,
+        tolerance: 0.5,
+    };
+    let aggregate = StoreQuery::Aggregate {
+        sensor: 1,
+        from,
+        to,
+        op: AggregateOp::Mean,
+    };
+
+    let (_, past_ticket) = sys.submit_query(past).expect("proxy is up");
+    let (_, agg_ticket) = sys.submit_query(aggregate).expect("proxy is up");
+    let done = sys.take_completed_queries();
+    assert_eq!(done.len(), 2, "both terminate at submission");
+    for (_, c) in &done {
+        assert_eq!(c.answer.source(), AnswerSource::Failed, "ticket {}", c.id);
+        assert_eq!(c.completed_at, c.submitted_at, "ticket {}", c.id);
+        match &c.answer {
+            PipelineAnswer::Series(a) => {
+                assert_eq!(c.id, past_ticket);
+                assert!(a.samples.is_empty(), "{} samples", a.samples.len());
+            }
+            PipelineAnswer::Scalar(a) => {
+                assert_eq!(c.id, agg_ticket);
+                assert!(a.sigma.is_infinite());
+            }
+        }
+    }
+
+    let mut store = UnifiedStore::new(&mut sys);
+    let r = store.query(past);
+    assert_eq!(r.source, AnswerSource::Failed);
+    assert!(r.series.is_empty(), "{} samples", r.series.len());
+    let r = store.query(aggregate);
+    assert_eq!(r.source, AnswerSource::Failed);
 }

@@ -78,7 +78,7 @@ proptest! {
             });
         }
         prop_assert!(cache.len() <= capacity);
-        let all = cache.range(SimTime::ZERO, SimTime::from_secs(20_000));
+        let all: Vec<_> = cache.range(SimTime::ZERO, SimTime::from_secs(20_000)).copied().collect();
         prop_assert!(all.windows(2).all(|w| w[0].t <= w[1].t));
         // latest_at agrees with a linear scan.
         for probe in [0u64, 100, 5_000, 9_999] {

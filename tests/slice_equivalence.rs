@@ -7,6 +7,10 @@
 //! honestly by its deadline, no slice sub-RPC leaks from the channel,
 //! and the two-tier cache's accounting balances:
 //! `lookups == l1_hits + l2_hits + misses` and `promotions <= l2_hits`.
+//!
+//! The reference assembles with the clone-and-filter oracle kept below
+//! ([`assemble_oracle`]); a separate property pins the pipeline's
+//! one-pass [`assemble`] to that oracle over generated runs and windows.
 
 use proptest::prelude::*;
 
@@ -127,6 +131,22 @@ fn decode(code: u8) -> PipelineQuery {
     }
 }
 
+/// The assembly oracle: concatenate owned copies of every run, then keep
+/// the samples inside the inclusive window `[from, to]`. This is the
+/// assembler's defining semantics, written the obvious way.
+fn assemble_oracle(
+    parts: &[Vec<(SimTime, f64)>],
+    from: SimTime,
+    to: SimTime,
+) -> Vec<(SimTime, f64)> {
+    parts
+        .iter()
+        .flatten()
+        .copied()
+        .filter(|&(t, _)| t >= from && t <= to)
+        .collect()
+}
+
 /// The blocking reference for a PAST query under sliced execution: run
 /// the same slice plan through the synchronous path (one blocking pull
 /// per canonical slice window), assemble, trim. A window the calculator
@@ -158,7 +178,7 @@ fn reference_past(
                     a.samples
                 })
                 .collect();
-            assemble(&runs, from, to)
+            assemble_oracle(&runs, from, to)
         }
         None => {
             let a = p.answer_past(t, sensor, from, to, tolerance, node, chan);
@@ -299,6 +319,51 @@ proptest! {
         let (pulled, failed) = run_and_check(&workload, vec![false], vec![true]);
         prop_assert_eq!(pulled, 0);
         prop_assert_eq!(failed, workload.len());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256 })]
+
+    /// The one-pass assembler equals the clone-and-filter oracle, and
+    /// allocates exactly the answer's size. Runs are per-slice sample
+    /// offsets (slice `i` spans `[i·LEN, (i+1)·LEN)` seconds, offsets
+    /// `0` and `LEN - 1` sit on its edges); window endpoints are drawn
+    /// from every sample instant, every slice boundary and the tick
+    /// either side of it, so samples exactly at `from`, at `to`, and on
+    /// slice boundaries are all exercised, as are inverted windows.
+    #[test]
+    fn one_pass_assembler_matches_oracle(
+        runs in proptest::collection::vec(
+            proptest::collection::vec((0u64..8, 0u8..255), 0..10),
+            0..6,
+        ),
+        from_pick in 0usize..10_000,
+        to_pick in 0usize..10_000,
+    ) {
+        const LEN: u64 = 8;
+        let parts: Vec<Vec<(SimTime, f64)>> = runs
+            .iter()
+            .enumerate()
+            .map(|(i, run)| {
+                let mut offs: Vec<(u64, u8)> = run.clone();
+                offs.sort_unstable();
+                offs.dedup_by_key(|o| o.0);
+                offs.into_iter()
+                    .map(|(off, v)| (SimTime::from_secs(i as u64 * LEN + off), v as f64))
+                    .collect()
+            })
+            .collect();
+        let mut instants: Vec<u64> = parts.iter().flatten().map(|s| s.0.as_secs()).collect();
+        for k in 0..=runs.len() as u64 + 1 {
+            instants.extend([(k * LEN).saturating_sub(1), k * LEN, k * LEN + 1]);
+        }
+        let from = SimTime::from_secs(instants[from_pick % instants.len()]);
+        let to = SimTime::from_secs(instants[to_pick % instants.len()]);
+        let got = assemble(parts.iter().map(Vec::as_slice), from, to);
+        let want = assemble_oracle(&parts, from, to);
+        prop_assert_eq!(&got, &want, "window [{:?}, {:?}]", from, to);
+        prop_assert_eq!(got.capacity(), got.len(), "exact-size allocation");
     }
 }
 
