@@ -10,9 +10,10 @@
 //! out-of-band reading. With `--deny`, any regression (or unreadable
 //! artifact) exits non-zero — the CI wiring runs each scenario smoke
 //! and then gates its fresh BENCH file against the committed baseline
-//! in `crates/baselines/bench/`.
+//! in `crates/bench/baselines/`.
 
-use presto_bench::diff::{compare_bench, parse_json};
+use presto_bench::diff::compare_bench;
+use presto_bench::json::parse;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -25,7 +26,7 @@ fn main() {
     let load = |path: &str| -> Result<_, String> {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        parse_json(&text).map_err(|e| format!("{path}: {e}"))
+        parse(&text).map_err(|e| format!("{path}: {e}"))
     };
     let (baseline, candidate) = match (load(baseline_path), load(candidate_path)) {
         (Ok(b), Ok(c)) => (b, c),

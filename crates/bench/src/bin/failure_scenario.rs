@@ -11,6 +11,7 @@
 
 use presto_bench::experiments::render_json;
 use presto_bench::failure::{failure_scenario, FailureScenarioConfig};
+use presto_bench::report::exit_on_failures;
 
 fn main() {
     let arg = std::env::args().nth(1);
@@ -70,13 +71,7 @@ fn main() {
         if quick_correlated && r.downlink_retransmits == 0 {
             failures.push("correlated loss never exercised downlink retransmission".into());
         }
-        if !failures.is_empty() {
-            eprintln!("failure-scenario smoke FAILED:");
-            for f in &failures {
-                eprintln!("  - {f}");
-            }
-            std::process::exit(1);
-        }
+        exit_on_failures("failure-scenario smoke", &failures);
         eprintln!("failure-scenario smoke OK");
     }
 }

@@ -4,6 +4,7 @@
 //! (default 36 days, matching the Intel Lab trace span).
 
 use presto_bench::figure2::{check_shape, generate, render, Figure2Config};
+use presto_bench::json::ToJson;
 
 fn main() {
     let days = std::env::args()
@@ -20,5 +21,5 @@ fn main() {
         Ok(()) => println!("\nshape check: OK (batched arms decrease, wavelet below raw, value-driven flat with d1 > d2)"),
         Err(e) => println!("\nshape check: FAILED — {e}"),
     }
-    println!("\nJSON:\n{}", presto_bench::to_json(&data));
+    println!("\nJSON:\n{}", data.to_json().render());
 }

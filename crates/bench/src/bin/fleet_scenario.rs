@@ -17,7 +17,9 @@
 
 use presto_bench::experiments::render_json;
 use presto_bench::fleet::{determinism_fingerprint, fleet_scenario, FleetScenarioConfig};
-use presto_bench::report::{render_summary, write_bench_json, BenchJson, MetricLine};
+use presto_bench::report::{
+    exit_on_failures, metric_lines, render_summary, write_bench_json, BenchJson, MetricLine,
+};
 
 // Counting allocator: BENCH_fleet.json carries allocations/epoch and the
 // peak-RSS proxy. The counters are process-cumulative, so the rows are
@@ -67,15 +69,7 @@ fn main() {
             r.shed_on.summarize("shed-on"),
             r.shed_off.summarize("shed-off"),
         ],
-        metrics: r
-            .shed_on
-            .metrics
-            .iter()
-            .map(|(k, v)| MetricLine {
-                key: k.clone(),
-                value: *v,
-            })
-            .collect(),
+        metrics: metric_lines(&r.shed_on.metrics),
         timeline: r.shed_on.timeline.clone(),
         incidents: r.shed_on.incidents.clone(),
     };
@@ -87,16 +81,14 @@ fn main() {
         .iter()
         .find(|(k, _)| k == "profiler.epochs")
         .map_or(0.0, |(_, v)| *v);
+    let allocs_per_epoch = if epochs > 0.0 {
+        allocs_total as f64 / epochs
+    } else {
+        0.0
+    };
     for (key, value) in [
         ("alloc.allocations_total", allocs_total as f64),
-        (
-            "alloc.allocations_per_epoch",
-            if epochs > 0.0 {
-                allocs_total as f64 / epochs
-            } else {
-                0.0
-            },
-        ),
+        ("alloc.allocations_per_epoch", allocs_per_epoch),
         ("alloc.peak_bytes", peak_bytes as f64),
     ] {
         bench.metrics.push(MetricLine {
@@ -156,13 +148,13 @@ fn main() {
             ));
         }
     }
-    if r.shed_on.timeline.iter().all(|s| s.points.is_empty()) {
-        failures.push("presto-scope exported an empty timeline".into());
+    if r.shed_on.timeline.is_empty() || r.shed_on.timeline.iter().any(|s| s.points.is_empty()) {
+        failures.push("presto-scope exported an empty timeline or series".into());
     }
-    if allocs_total == 0 || peak_bytes == 0 {
+    if allocs_per_epoch <= 0.0 || peak_bytes == 0 {
         failures.push("counting allocator reported zero activity".into());
     }
-    if r.shed_on.shed == 0 {
+    if r.shed_on.shed.unwrap_or(0) == 0 {
         failures.push("shedding never fired under skew".into());
     }
     if r.shed_on.forwarded_ok == 0 {
@@ -186,19 +178,14 @@ fn main() {
             r.shed_on.fairness, r.shed_off.fairness
         ));
     }
-    if !failures.is_empty() {
-        eprintln!("fleet-scenario {} FAILED:", if quick { "smoke" } else { "run" });
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
+    let mode = if quick { "smoke" } else { "run" };
+    exit_on_failures(&format!("fleet-scenario {mode}"), &failures);
     eprintln!(
         "fleet-scenario {} OK — {} queries, shed {}, {:.1} vs {:.1} q/h ({:.2}×), \
          p99 {:.0} s vs {:.0} s, fairness {:.2} vs {:.2}, {} re-homed",
-        if quick { "smoke" } else { "run" },
+        mode,
         r.shed_on.submitted,
-        r.shed_on.shed,
+        r.shed_on.shed.unwrap_or(0),
         r.shed_on.throughput_qph,
         r.shed_off.throughput_qph,
         r.throughput_gain,

@@ -15,7 +15,9 @@
 
 use presto_bench::experiments::render_json;
 use presto_bench::partition::{partition_scenario, PartitionScenarioConfig};
-use presto_bench::report::{render_summary, write_bench_json, BenchJson, MetricLine};
+use presto_bench::report::{
+    exit_on_failures, metric_lines, render_summary, write_bench_json, BenchJson,
+};
 
 // Counting allocator: the profiler's per-phase `profiler.*.allocs` rows
 // in the BENCH artifact count real allocations.
@@ -56,15 +58,7 @@ fn main() {
             r.with_partition.summarize("with-partition"),
             r.without_partition.summarize("no-partition"),
         ],
-        metrics: r
-            .with_partition
-            .metrics
-            .iter()
-            .map(|(k, v)| MetricLine {
-                key: k.clone(),
-                value: *v,
-            })
-            .collect(),
+        metrics: metric_lines(&r.with_partition.metrics),
         timeline: r.with_partition.timeline.clone(),
         incidents: r.with_partition.incidents.clone(),
     };
@@ -174,8 +168,8 @@ fn main() {
             r.without_partition.incidents.len()
         ));
     }
-    if w.timeline.iter().all(|s| s.points.is_empty()) {
-        failures.push("presto-scope exported an empty timeline".into());
+    if w.timeline.is_empty() || w.timeline.iter().any(|s| s.points.is_empty()) {
+        failures.push("presto-scope exported an empty timeline or series".into());
     }
     if r.throughput_ratio < 0.5 {
         failures.push(format!(
@@ -183,21 +177,13 @@ fn main() {
             w.throughput_qph, r.without_partition.throughput_qph, r.throughput_ratio
         ));
     }
-    if !failures.is_empty() {
-        eprintln!(
-            "partition-scenario {} FAILED:",
-            if quick { "smoke" } else { "run" }
-        );
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
+    let mode = if quick { "smoke" } else { "run" };
+    exit_on_failures(&format!("partition-scenario {mode}"), &failures);
     eprintln!(
         "partition-scenario {} OK — {} queries, fenced {} epochs, {} fenced refusals, \
          {} re-homed, rejoined, {:.1} vs {:.1} q/h ({:.2}×), age p50 {:.0} s, \
          {} incidents ({} mesh-attributed)",
-        if quick { "smoke" } else { "run" },
+        mode,
         w.submitted,
         w.fenced_epochs,
         w.failed_fenced,

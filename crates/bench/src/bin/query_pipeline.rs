@@ -11,7 +11,9 @@
 
 use presto_bench::experiments::render_json;
 use presto_bench::query_pipeline::{query_pipeline, QueryPipelineConfig};
-use presto_bench::report::{render_summary, write_bench_json, ArmSummary, BenchJson};
+use presto_bench::report::{
+    exit_on_failures, render_summary, write_bench_json, ArmSummary, BenchJson,
+};
 
 fn main() {
     let arg = std::env::args().nth(1);
@@ -50,7 +52,7 @@ fn main() {
                 failed: r.failed,
                 queries_per_sec: r.pipeline_throughput_qph / 3600.0,
                 latency_p50_s: r.pipeline_latency.p50_s,
-                latency_p90_s: r.pipeline_latency.p95_s,
+                latency_p90_s: r.pipeline_latency.p90_s,
                 latency_p99_s: r.pipeline_latency.p99_s,
                 ..ArmSummary::default()
             },
@@ -61,7 +63,7 @@ fn main() {
                 failed: r.baseline_served - r.baseline_ok,
                 queries_per_sec: r.baseline_throughput_qph / 3600.0,
                 latency_p50_s: r.baseline_latency.p50_s,
-                latency_p90_s: r.baseline_latency.p95_s,
+                latency_p90_s: r.baseline_latency.p90_s,
                 latency_p99_s: r.baseline_latency.p99_s,
                 ..ArmSummary::default()
             },
@@ -105,16 +107,11 @@ fn main() {
             r.pipeline_throughput_qph, r.baseline_throughput_qph
         ));
     }
-    if !failures.is_empty() {
-        eprintln!("query-pipeline {} FAILED:", if quick { "smoke" } else { "run" });
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
+    let mode = if quick { "smoke" } else { "run" };
+    exit_on_failures(&format!("query-pipeline {mode}"), &failures);
     eprintln!(
         "query-pipeline {} OK — {} queries, peak {} in-flight, {:.1} vs {:.1} q/h (speedup {:.2}×)",
-        if quick { "smoke" } else { "run" },
+        mode,
         r.submitted,
         r.max_in_flight,
         r.pipeline_throughput_qph,

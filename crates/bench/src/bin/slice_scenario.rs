@@ -10,7 +10,9 @@
 //! stale-confident, or anything leaks.
 
 use presto_bench::experiments::render_json;
-use presto_bench::report::{render_summary, write_bench_json, BenchJson};
+use presto_bench::report::{
+    exit_on_failures, metric_lines, render_summary, write_bench_json, BenchJson,
+};
 use presto_bench::slice_scenario::{slice_scenario, SliceScenarioConfig};
 
 // Counting allocator: the profiler's per-phase `profiler.*.allocs` rows
@@ -49,15 +51,7 @@ fn main() {
             r.sliced.summarize("sliced"),
             r.monolithic.summarize("monolithic"),
         ],
-        metrics: r
-            .sliced
-            .metrics
-            .iter()
-            .map(|(key, value)| presto_bench::report::MetricLine {
-                key: key.clone(),
-                value: *value,
-            })
-            .collect(),
+        metrics: metric_lines(&r.sliced.metrics),
         timeline: r.sliced.timeline.clone(),
         incidents: r.sliced.incidents.clone(),
     };
@@ -106,8 +100,8 @@ fn main() {
             ));
         }
     }
-    if r.sliced.timeline.iter().all(|s| s.points.is_empty()) {
-        failures.push("presto-scope exported an empty timeline".into());
+    if r.sliced.timeline.is_empty() || r.sliced.timeline.iter().any(|s| s.points.is_empty()) {
+        failures.push("presto-scope exported an empty timeline or series".into());
     }
     if r.sliced.sliced == 0 {
         failures.push("no query took the sliced path".into());
@@ -127,16 +121,11 @@ fn main() {
             r.sliced.throughput_qph, r.monolithic.throughput_qph
         ));
     }
-    if !failures.is_empty() {
-        eprintln!("slice {} FAILED:", if quick { "smoke" } else { "run" });
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
+    let mode = if quick { "smoke" } else { "run" };
+    exit_on_failures(&format!("slice {mode}"), &failures);
     eprintln!(
         "slice {} OK — {} queries, hit rate {:.3} vs {:.3}, throughput ratio {:.2}×",
-        if quick { "smoke" } else { "run" },
+        mode,
         r.sliced.submitted,
         r.sliced.cache_hit_rate,
         r.monolithic.cache_hit_rate,

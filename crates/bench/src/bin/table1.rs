@@ -3,6 +3,7 @@
 //! Usage: `cargo run --release -p presto-bench --bin table1 [days] [sensors]`
 
 use presto_baselines::DriverConfig;
+use presto_bench::json::ToJson;
 use presto_bench::table1::{check_shape, generate, render, rows};
 
 fn main() {
@@ -25,5 +26,5 @@ fn main() {
         Ok(()) => println!("\nshape check: OK (PRESTO: streaming-class latency, direct-class energy, PAST + prediction)"),
         Err(e) => println!("\nshape check: FAILED — {e}"),
     }
-    println!("\nJSON:\n{}", presto_bench::to_json(&rows(&reports)));
+    println!("\nJSON:\n{}", rows(&reports).to_json().render());
 }

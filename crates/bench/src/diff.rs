@@ -7,10 +7,10 @@
 //! `incidents` sections are for humans and trend tooling and are not
 //! byte-gated (they move with every intentional behavior change).
 //!
-//! The vendored serde_json shim has no parser, so this module carries a
-//! minimal recursive-descent JSON reader sufficient for the artifacts
-//! the deterministic emitter in [`crate::report`] produces (objects,
-//! arrays, strings, numbers, booleans, null).
+//! Artifacts are read with [`crate::json::parse`], the same module that
+//! renders them. An arm field absent from both sides (a reading that
+//! scenario does not take) is not compared; a field the baseline has
+//! and the candidate lost is a regression.
 //!
 //! Band policy, per key (first match wins):
 //!
@@ -30,264 +30,8 @@
 //! A reading passes its band when `|candidate - baseline|` is within
 //! `max(abs_slack, rel_tol * |baseline|)` in the gated direction.
 
+use crate::json::Json;
 use std::collections::BTreeMap;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON parser
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
-    /// `null` (also what the emitter writes for non-finite floats).
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, insertion-ordered.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => {
-                fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
-            _ => None,
-        }
-    }
-
-    /// Numeric reading (`null` reads as NaN — the emitter's non-finite
-    /// encoding).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(v) => Some(*v),
-            JsonValue::Null => Some(f64::NAN),
-            _ => None,
-        }
-    }
-
-    /// String reading.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Array reading.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("JSON parse error at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn eat_lit(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{lit}`")))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.eat_lit("true").map(|_| JsonValue::Bool(true)),
-            Some(b'f') => self.eat_lit("false").map(|_| JsonValue::Bool(false)),
-            Some(b'n') => self.eat_lit("null").map(|_| JsonValue::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}` in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (multi-byte sequences pass
-                    // through unvalidated — input came from str).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|&b| b & 0xC0 == 0x80)
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid UTF-8"))?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(JsonValue::Num)
-            .ok_or_else(|| self.err("malformed number"))
-    }
-}
-
-/// Parses a JSON document.
-pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let mut p = Parser::new(text);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing garbage after document"));
-    }
-    Ok(v)
-}
 
 // ---------------------------------------------------------------------------
 // Tolerance bands
@@ -437,9 +181,9 @@ impl DiffReport {
     }
 }
 
-fn metric_map(doc: &JsonValue) -> BTreeMap<String, f64> {
+fn metric_map(doc: &Json) -> BTreeMap<String, f64> {
     doc.get("metrics")
-        .and_then(JsonValue::as_arr)
+        .and_then(Json::as_arr)
         .map(|rows| {
             rows.iter()
                 .filter_map(|r| {
@@ -453,14 +197,14 @@ fn metric_map(doc: &JsonValue) -> BTreeMap<String, f64> {
         .unwrap_or_default()
 }
 
-fn arm_map(doc: &JsonValue) -> BTreeMap<String, Vec<(String, f64)>> {
+fn arm_map(doc: &Json) -> BTreeMap<String, Vec<(String, f64)>> {
     doc.get("arms")
-        .and_then(JsonValue::as_arr)
+        .and_then(Json::as_arr)
         .map(|arms| {
             arms.iter()
                 .filter_map(|a| {
                     let name = a.get("arm")?.as_str()?.to_string();
-                    let JsonValue::Obj(fields) = a else { return None };
+                    let Json::Obj(fields) = a else { return None };
                     let nums = fields
                         .iter()
                         .filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)))
@@ -473,10 +217,10 @@ fn arm_map(doc: &JsonValue) -> BTreeMap<String, Vec<(String, f64)>> {
 }
 
 /// Compares a candidate artifact against its baseline.
-pub fn compare_bench(baseline: &JsonValue, candidate: &JsonValue) -> DiffReport {
+pub fn compare_bench(baseline: &Json, candidate: &Json) -> DiffReport {
     let mut report = DiffReport::default();
-    let base_scenario = baseline.get("scenario").and_then(JsonValue::as_str);
-    let cand_scenario = candidate.get("scenario").and_then(JsonValue::as_str);
+    let base_scenario = baseline.get("scenario").and_then(Json::as_str);
+    let cand_scenario = candidate.get("scenario").and_then(Json::as_str);
     if base_scenario != cand_scenario {
         report.regressions.push(format!(
             "scenario mismatch: baseline {base_scenario:?}, candidate {cand_scenario:?}"
@@ -485,8 +229,8 @@ pub fn compare_bench(baseline: &JsonValue, candidate: &JsonValue) -> DiffReport 
     }
 
     let ratio = (
-        baseline.get("throughput_ratio").and_then(JsonValue::as_f64),
-        candidate.get("throughput_ratio").and_then(JsonValue::as_f64),
+        baseline.get("throughput_ratio").and_then(Json::as_f64),
+        candidate.get("throughput_ratio").and_then(Json::as_f64),
     );
     if let (Some(b), Some(c)) = ratio {
         let band = Band {
@@ -553,6 +297,7 @@ pub fn compare_bench(baseline: &JsonValue, candidate: &JsonValue) -> DiffReport 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse as parse_json;
     use crate::report::{render_bench_json, ArmSummary, BenchJson, MetricLine};
 
     fn bench(ratio: f64, failed: u64, metrics: &[(&str, f64)]) -> BenchJson {
@@ -577,7 +322,7 @@ mod tests {
         }
     }
 
-    fn parse(b: &BenchJson) -> JsonValue {
+    fn parse(b: &BenchJson) -> Json {
         parse_json(&render_bench_json(b)).expect("emitter output parses")
     }
 
@@ -585,10 +330,7 @@ mod tests {
     fn parser_round_trips_emitter_output() {
         let b = bench(1.5, 20, &[("pipeline.rpcs_issued", 321.0)]);
         let doc = parse(&b);
-        assert_eq!(
-            doc.get("scenario").and_then(JsonValue::as_str),
-            Some("fleet")
-        );
+        assert_eq!(doc.get("scenario").and_then(Json::as_str), Some("fleet"));
         assert_eq!(metric_map(&doc).get("pipeline.rpcs_issued"), Some(&321.0));
         assert_eq!(arm_map(&doc)["shed-on"]
             .iter()
@@ -599,9 +341,9 @@ mod tests {
     #[test]
     fn parser_handles_escapes_and_null() {
         let doc = parse_json(r#"{"k": "a\"b\\c\nd", "v": null, "t": true}"#).unwrap();
-        assert_eq!(doc.get("k").and_then(JsonValue::as_str), Some("a\"b\\c\nd"));
+        assert_eq!(doc.get("k").and_then(Json::as_str), Some("a\"b\\c\nd"));
         assert!(doc.get("v").unwrap().as_f64().unwrap().is_nan());
-        assert_eq!(doc.get("t"), Some(&JsonValue::Bool(true)));
+        assert_eq!(doc.get("t"), Some(&Json::Bool(true)));
         assert!(parse_json("{\"k\": }").is_err());
         assert!(parse_json("[1,2] trailing").is_err());
     }
@@ -689,5 +431,25 @@ mod tests {
             .regressions
             .iter()
             .any(|r| r.contains("throughput_ratio")), "{:?}", report.regressions);
+    }
+
+    #[test]
+    fn absent_arm_fields_gate_only_when_lost() {
+        // `shed` absent on both sides: a reading neither run took.
+        let base = bench(1.5, 20, &[]);
+        assert!(base.arms[0].shed.is_none());
+        assert!(compare_bench(&parse(&base), &parse(&base)).is_clean());
+        // Present in the baseline, absent from the candidate: lost.
+        let mut measured = bench(1.5, 20, &[]);
+        measured.arms[0].shed = Some(12);
+        let report = compare_bench(&parse(&measured), &parse(&base));
+        assert!(
+            report
+                .regressions
+                .iter()
+                .any(|r| r.contains("field `shed` missing")),
+            "{:?}",
+            report.regressions
+        );
     }
 }

@@ -3,6 +3,7 @@
 //! Each function turns one prose claim from the paper into a measurement
 //! on the same substrates the headline reproductions use.
 
+use crate::json::ToJson;
 use presto_archive::{ArchiveConfig, ArchiveStore};
 use presto_index::{ClockCorrector, DriftClock, SkipGraph, UnifiedView};
 use presto_models::{
@@ -15,7 +16,6 @@ use presto_sensor::{DownlinkMsg, PushPolicy, SensorConfig, SensorNode, UplinkPay
 use presto_sim::metrics::Summary;
 use presto_sim::{EnergyLedger, SimDuration, SimRng, SimTime};
 use presto_workloads::{LabDeployment, LabParams, TrafficGen, TrafficParams};
-use serde::Serialize;
 
 fn diurnal_history(days: u64, step_mins: u64, seed: u64) -> Vec<(SimTime, f64)> {
     LabDeployment::single_sensor_trace(
@@ -36,24 +36,28 @@ fn diurnal_history(days: u64, step_mins: u64, seed: u64) -> Vec<(SimTime, f64)> 
 // E1 — rare events are never missed under model-driven push.
 // ---------------------------------------------------------------------
 
-/// One arm of the rare-event experiment.
-#[derive(Clone, Debug, Serialize)]
-pub struct E1Arm {
-    /// Arm label.
-    pub arm: String,
-    /// Fraction of injected events whose report reached the proxy.
-    pub recall: f64,
-    /// Sensor push energy over the run, joules.
-    pub push_j: f64,
+crate::json_row! {
+    /// One arm of the rare-event experiment.
+    #[derive(Clone, Debug)]
+    pub struct E1Arm {
+        /// Arm label.
+        pub arm: String,
+        /// Fraction of injected events whose report reached the proxy.
+        pub recall: f64,
+        /// Sensor push energy over the run, joules.
+        pub push_j: f64,
+    }
 }
 
-/// E1 result.
-#[derive(Clone, Debug, Serialize)]
-pub struct E1Result {
-    /// Injected event count.
-    pub events: u64,
-    /// The arms.
-    pub arms: Vec<E1Arm>,
+crate::json_row! {
+    /// E1 result.
+    #[derive(Clone, Debug)]
+    pub struct E1Result {
+        /// Injected event count.
+        pub events: u64,
+        /// The arms.
+        pub arms: Vec<E1Arm>,
+    }
 }
 
 /// Runs E1: model-driven push + event reports vs periodic pull at several
@@ -181,23 +185,25 @@ pub fn e1_rare_events(days: u64, seed: u64) -> E1Result {
 // E2 — answer-path breakdown and latency vs query tolerance.
 // ---------------------------------------------------------------------
 
-/// One tolerance point of E2.
-#[derive(Clone, Debug, Serialize)]
-pub struct E2Row {
-    /// Query tolerance.
-    pub tolerance: f64,
-    /// Cache-hit fraction.
-    pub cache_hit: f64,
-    /// Extrapolation fraction.
-    pub extrapolated: f64,
-    /// Pull fraction.
-    pub pulled: f64,
-    /// Mean latency, ms.
-    pub latency_mean_ms: f64,
-    /// p95 latency, ms.
-    pub latency_p95_ms: f64,
-    /// Mean answer error.
-    pub error_mean: f64,
+crate::json_row! {
+    /// One tolerance point of E2.
+    #[derive(Clone, Debug)]
+    pub struct E2Row {
+        /// Query tolerance.
+        pub tolerance: f64,
+        /// Cache-hit fraction.
+        pub cache_hit: f64,
+        /// Extrapolation fraction.
+        pub extrapolated: f64,
+        /// Pull fraction.
+        pub pulled: f64,
+        /// Mean latency, ms.
+        pub latency_mean_ms: f64,
+        /// p95 latency, ms.
+        pub latency_p95_ms: f64,
+        /// Mean answer error.
+        pub error_mean: f64,
+    }
 }
 
 /// Runs E2: a trained single-sensor PRESTO pair answering NOW queries at
@@ -274,19 +280,21 @@ pub fn e2_latency(days: u64, seed: u64) -> Vec<E2Row> {
 // E3 — extrapolation accuracy vs the push-tolerance guarantee.
 // ---------------------------------------------------------------------
 
-/// One point of E3.
-#[derive(Clone, Debug, Serialize)]
-pub struct E3Row {
-    /// Configured push tolerance.
-    pub push_tolerance: f64,
-    /// Mean |extrapolated − truth| while the sensor is silent.
-    pub mean_abs_error: f64,
-    /// Max |extrapolated − truth|.
-    pub max_abs_error: f64,
-    /// Fraction of silent epochs within the tolerance bound.
-    pub within_bound: f64,
-    /// Pushes per day the tolerance induced.
-    pub pushes_per_day: f64,
+crate::json_row! {
+    /// One point of E3.
+    #[derive(Clone, Debug)]
+    pub struct E3Row {
+        /// Configured push tolerance.
+        pub push_tolerance: f64,
+        /// Mean |extrapolated − truth| while the sensor is silent.
+        pub mean_abs_error: f64,
+        /// Max |extrapolated − truth|.
+        pub max_abs_error: f64,
+        /// Fraction of silent epochs within the tolerance bound.
+        pub within_bound: f64,
+        /// Pushes per day the tolerance induced.
+        pub pushes_per_day: f64,
+    }
 }
 
 /// Runs E3: for each push tolerance, train a model, run model-driven
@@ -352,17 +360,19 @@ pub fn e3_extrapolation(days: u64, seed: u64) -> Vec<E3Row> {
 // E4 — graceful aging under storage pressure.
 // ---------------------------------------------------------------------
 
-/// One capacity point of E4.
-#[derive(Clone, Debug, Serialize)]
-pub struct E4Row {
-    /// Flash capacity, bytes.
-    pub capacity_bytes: usize,
-    /// With aging: queryable history span, hours.
-    pub aged_history_hours: f64,
-    /// Without aging: queryable history span, hours.
-    pub dropped_history_hours: f64,
-    /// RMSE of the oldest queryable day's reconstruction (aging on).
-    pub oldest_day_rmse: f64,
+crate::json_row! {
+    /// One capacity point of E4.
+    #[derive(Clone, Debug)]
+    pub struct E4Row {
+        /// Flash capacity, bytes.
+        pub capacity_bytes: usize,
+        /// With aging: queryable history span, hours.
+        pub aged_history_hours: f64,
+        /// Without aging: queryable history span, hours.
+        pub dropped_history_hours: f64,
+        /// RMSE of the oldest queryable day's reconstruction (aging on).
+        pub oldest_day_rmse: f64,
+    }
 }
 
 /// Runs E4: write a long trace into archives of shrinking capacity, with
@@ -430,15 +440,17 @@ pub fn e4_aging(days: u64, seed: u64) -> Vec<E4Row> {
 // E5 — skip-graph scaling.
 // ---------------------------------------------------------------------
 
-/// One size point of E5.
-#[derive(Clone, Debug, Serialize)]
-pub struct E5Row {
-    /// Number of proxies in the index.
-    pub proxies: usize,
-    /// Mean search hops.
-    pub search_hops_mean: f64,
-    /// Mean insert hops.
-    pub insert_hops_mean: f64,
+crate::json_row! {
+    /// One size point of E5.
+    #[derive(Clone, Debug)]
+    pub struct E5Row {
+        /// Number of proxies in the index.
+        pub proxies: usize,
+        /// Mean search hops.
+        pub search_hops_mean: f64,
+        /// Mean insert hops.
+        pub insert_hops_mean: f64,
+    }
 }
 
 /// Runs E5: index sizes 2–256 proxies, measuring search and insert hops.
@@ -471,17 +483,19 @@ pub fn e5_skipgraph(seed: u64) -> Vec<E5Row> {
 // E6 — query–sensor matching: latency bound vs energy.
 // ---------------------------------------------------------------------
 
-/// One latency-bound point of E6.
-#[derive(Clone, Debug, Serialize)]
-pub struct E6Row {
-    /// Registered worst-case latency bound, minutes.
-    pub latency_bound_min: f64,
-    /// Estimated sensor energy per day at the matched settings, joules.
-    pub energy_per_day_j: f64,
-    /// Measured worst-case downlink notification latency, ms.
-    pub measured_worst_latency_ms: f64,
-    /// Whether the measured latency met the bound.
-    pub bound_met: bool,
+crate::json_row! {
+    /// One latency-bound point of E6.
+    #[derive(Clone, Debug)]
+    pub struct E6Row {
+        /// Registered worst-case latency bound, minutes.
+        pub latency_bound_min: f64,
+        /// Estimated sensor energy per day at the matched settings, joules.
+        pub energy_per_day_j: f64,
+        /// Measured worst-case downlink notification latency, ms.
+        pub measured_worst_latency_ms: f64,
+        /// Whether the measured latency met the bound.
+        pub bound_met: bool,
+    }
 }
 
 /// Runs E6: register a query class per latency bound, apply the matcher's
@@ -559,19 +573,21 @@ pub fn e6_matching(seed: u64) -> Vec<E6Row> {
 // E7 — model build/check asymmetry.
 // ---------------------------------------------------------------------
 
-/// One model-class row of E7.
-#[derive(Clone, Debug, Serialize)]
-pub struct E7Row {
-    /// Model class label.
-    pub model: String,
-    /// Proxy-side training cycles.
-    pub train_cycles: u64,
-    /// Sensor-side per-check cycles.
-    pub check_cycles: u64,
-    /// Asymmetry ratio (train / check).
-    pub ratio: f64,
-    /// Over-the-air parameter footprint, bytes.
-    pub param_bytes: usize,
+crate::json_row! {
+    /// One model-class row of E7.
+    #[derive(Clone, Debug)]
+    pub struct E7Row {
+        /// Model class label.
+        pub model: String,
+        /// Proxy-side training cycles.
+        pub train_cycles: u64,
+        /// Sensor-side per-check cycles.
+        pub check_cycles: u64,
+        /// Asymmetry ratio (train / check).
+        pub ratio: f64,
+        /// Over-the-air parameter footprint, bytes.
+        pub param_bytes: usize,
+    }
 }
 
 /// Runs E7 over every model class on a week of history.
@@ -637,17 +653,19 @@ pub fn e7_asymmetry(seed: u64) -> Vec<E7Row> {
 // E8 — timestamp correction.
 // ---------------------------------------------------------------------
 
-/// One skew point of E8.
-#[derive(Clone, Debug, Serialize)]
-pub struct E8Row {
-    /// Injected clock skew spread, ppm.
-    pub skew_ppm: f64,
-    /// Ordering violations among cross-sensor detections, uncorrected.
-    pub violations_raw: u64,
-    /// Ordering violations after beacon-based correction.
-    pub violations_corrected: u64,
-    /// Mean absolute timestamp error after correction, ms.
-    pub residual_error_ms: f64,
+crate::json_row! {
+    /// One skew point of E8.
+    #[derive(Clone, Debug)]
+    pub struct E8Row {
+        /// Injected clock skew spread, ppm.
+        pub skew_ppm: f64,
+        /// Ordering violations among cross-sensor detections, uncorrected.
+        pub violations_raw: u64,
+        /// Ordering violations after beacon-based correction.
+        pub violations_corrected: u64,
+        /// Mean absolute timestamp error after correction, ms.
+        pub residual_error_ms: f64,
+    }
 }
 
 /// Runs E8: vehicles pass a line of sensors whose clocks drift; the
@@ -719,17 +737,19 @@ pub fn e8_clock(seed: u64) -> Vec<E8Row> {
 // A1 — ablation: model class under model-driven push.
 // ---------------------------------------------------------------------
 
-/// One model-class row of the ablation.
-#[derive(Clone, Debug, Serialize)]
-pub struct A1Row {
-    /// Model class label.
-    pub model: String,
-    /// Pushes per day the class induced at tolerance 1.0.
-    pub pushes_per_day: f64,
-    /// Sensor push energy per day, joules.
-    pub push_j_per_day: f64,
-    /// Parameter footprint shipped to the sensor, bytes.
-    pub param_bytes: usize,
+crate::json_row! {
+    /// One model-class row of the ablation.
+    #[derive(Clone, Debug)]
+    pub struct A1Row {
+        /// Model class label.
+        pub model: String,
+        /// Pushes per day the class induced at tolerance 1.0.
+        pub pushes_per_day: f64,
+        /// Sensor push energy per day, joules.
+        pub push_j_per_day: f64,
+        /// Parameter footprint shipped to the sensor, bytes.
+        pub param_bytes: usize,
+    }
 }
 
 /// Runs A1: every model class drives model-driven push on the same
@@ -820,8 +840,8 @@ pub fn a1_model_ablation(days: u64, seed: u64) -> Vec<A1Row> {
 
 /// Renders rows of any serializable experiment as pretty JSON plus a
 /// headline.
-pub fn render_json<T: Serialize>(title: &str, rows: &T) -> String {
-    format!("{title}\n{}\n", crate::to_json(rows))
+pub fn render_json<T: ToJson>(title: &str, rows: &T) -> String {
+    format!("{title}\n{}\n", rows.to_json().render())
 }
 
 #[cfg(test)]

@@ -20,7 +20,6 @@ use presto_core::{PrestoSystem, StoreQuery, SystemConfig, UnifiedStore};
 use presto_net::{GilbertElliott, LossProcess};
 use presto_reliability::{Health, LivenessConfig, ReliabilityConfig};
 use presto_sim::{EnergyLedger, FaultPlan, SimDuration, SimTime};
-use serde::Serialize;
 
 /// Scenario parameters.
 #[derive(Clone, Debug)]
@@ -61,57 +60,59 @@ impl Default for FailureScenarioConfig {
     }
 }
 
-/// Scenario result.
-#[derive(Clone, Debug, Serialize)]
-pub struct FailureReport {
-    /// Long-run loss the fabric channel was configured for.
-    pub configured_loss: f64,
-    /// Messages offered / delivered / permanently dropped by the fabric.
-    pub offered: u64,
-    /// Deliveries (duplicates included).
-    pub delivered: u64,
-    /// Messages permanently dropped.
-    pub dropped: u64,
-    /// Retransmission attempts.
-    pub retransmits: u64,
-    /// Heartbeats transmitted.
-    pub heartbeats: u64,
-    /// Crash onset → first non-Live grade, seconds (NaN without crash).
-    pub detection_latency_s: f64,
-    /// Configured lease (the detection bound), seconds.
-    pub lease_s: f64,
-    /// Sequence gaps detected.
-    pub gaps_detected: u64,
-    /// Archive replays completed.
-    pub recoveries: u64,
-    /// Samples replayed from archives.
-    pub samples_replayed: u64,
-    /// Mean gap-detection → replay-complete latency, seconds.
-    pub recovery_latency_s: f64,
-    /// NOW probes issued.
-    pub probes: u64,
-    /// Probes answered confidently (sigma ≤ tolerance) but wrongly
-    /// (error > tolerance).
-    pub stale_confident: u64,
-    /// `stale_confident / probes`.
-    pub stale_answer_rate: f64,
-    /// Probes during the outage window that honestly advertised
-    /// degraded confidence (sigma > tolerance).
-    pub outage_honest: u64,
-    /// Query-path pull RPCs issued across proxies.
-    pub pulls: u64,
-    /// Query-path pull RPCs that failed after channel retries.
-    pub pull_failures: u64,
-    /// Downlink request retransmissions (loss on the pull path).
-    pub downlink_retransmits: u64,
-    /// Downlink RPCs that failed outright.
-    pub downlink_rpc_failures: u64,
-    /// Archived samples in the affected window.
-    pub window_archived: u64,
-    /// Archived samples missing from the post-recovery PAST answer.
-    pub window_missing: u64,
-    /// Max |proxy − archive| over matched samples in the window.
-    pub window_max_err: f64,
+crate::json_row! {
+    /// Scenario result.
+    #[derive(Clone, Debug)]
+    pub struct FailureReport {
+        /// Long-run loss the fabric channel was configured for.
+        pub configured_loss: f64,
+        /// Messages offered / delivered / permanently dropped by the fabric.
+        pub offered: u64,
+        /// Deliveries (duplicates included).
+        pub delivered: u64,
+        /// Messages permanently dropped.
+        pub dropped: u64,
+        /// Retransmission attempts.
+        pub retransmits: u64,
+        /// Heartbeats transmitted.
+        pub heartbeats: u64,
+        /// Crash onset → first non-Live grade, seconds (NaN without crash).
+        pub detection_latency_s: f64,
+        /// Configured lease (the detection bound), seconds.
+        pub lease_s: f64,
+        /// Sequence gaps detected.
+        pub gaps_detected: u64,
+        /// Archive replays completed.
+        pub recoveries: u64,
+        /// Samples replayed from archives.
+        pub samples_replayed: u64,
+        /// Mean gap-detection → replay-complete latency, seconds.
+        pub recovery_latency_s: f64,
+        /// NOW probes issued.
+        pub probes: u64,
+        /// Probes answered confidently (sigma ≤ tolerance) but wrongly
+        /// (error > tolerance).
+        pub stale_confident: u64,
+        /// `stale_confident / probes`.
+        pub stale_answer_rate: f64,
+        /// Probes during the outage window that honestly advertised
+        /// degraded confidence (sigma > tolerance).
+        pub outage_honest: u64,
+        /// Query-path pull RPCs issued across proxies.
+        pub pulls: u64,
+        /// Query-path pull RPCs that failed after channel retries.
+        pub pull_failures: u64,
+        /// Downlink request retransmissions (loss on the pull path).
+        pub downlink_retransmits: u64,
+        /// Downlink RPCs that failed outright.
+        pub downlink_rpc_failures: u64,
+        /// Archived samples in the affected window.
+        pub window_archived: u64,
+        /// Archived samples missing from the post-recovery PAST answer.
+        pub window_missing: u64,
+        /// Max |proxy − archive| over matched samples in the window.
+        pub window_max_err: f64,
+    }
 }
 
 /// A bursty chain with the requested stationary loss (bad-state dwell

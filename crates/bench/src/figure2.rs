@@ -17,7 +17,6 @@ use presto_sensor::PushPolicy;
 use presto_sim::SimDuration;
 use presto_wavelet::CodecParams;
 use presto_workloads::{LabDeployment, LabParams};
-use serde::Serialize;
 
 /// The paper's batching-interval ladder, minutes.
 pub const INTERVALS_MIN: [f64; 8] = [16.5, 33.0, 66.0, 132.0, 264.0, 529.0, 1058.0, 2116.0];
@@ -51,30 +50,34 @@ impl Default for Figure2Config {
     }
 }
 
-/// One x-axis point of the figure.
-#[derive(Clone, Debug, Serialize)]
-pub struct Figure2Row {
-    /// Batching interval, minutes.
-    pub interval_min: f64,
-    /// Batched push with wavelet denoising, joules.
-    pub batched_wavelet_j: f64,
-    /// Batched push without compression, joules.
-    pub batched_raw_j: f64,
-    /// Value-driven push Δ=1, joules (flat across intervals).
-    pub value_delta1_j: f64,
-    /// Value-driven push Δ=2, joules (flat across intervals).
-    pub value_delta2_j: f64,
+crate::json_row! {
+    /// One x-axis point of the figure.
+    #[derive(Clone, Debug)]
+    pub struct Figure2Row {
+        /// Batching interval, minutes.
+        pub interval_min: f64,
+        /// Batched push with wavelet denoising, joules.
+        pub batched_wavelet_j: f64,
+        /// Batched push without compression, joules.
+        pub batched_raw_j: f64,
+        /// Value-driven push Δ=1, joules (flat across intervals).
+        pub value_delta1_j: f64,
+        /// Value-driven push Δ=2, joules (flat across intervals).
+        pub value_delta2_j: f64,
+    }
 }
 
-/// The full figure: rows plus arm metadata.
-#[derive(Clone, Debug, Serialize)]
-pub struct Figure2Data {
-    /// Per-interval rows.
-    pub rows: Vec<Figure2Row>,
-    /// Idle-listening energy over the trace (identical across arms).
-    pub listen_baseline_j: f64,
-    /// Trace length in samples.
-    pub samples: usize,
+crate::json_row! {
+    /// The full figure: rows plus arm metadata.
+    #[derive(Clone, Debug)]
+    pub struct Figure2Data {
+        /// Per-interval rows.
+        pub rows: Vec<Figure2Row>,
+        /// Idle-listening energy over the trace (identical across arms).
+        pub listen_baseline_j: f64,
+        /// Trace length in samples.
+        pub samples: usize,
+    }
 }
 
 /// Runs the sweep.

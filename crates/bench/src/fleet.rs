@@ -21,7 +21,9 @@
 //! never silently wrong one). Leak probes must read clean after the
 //! drain window, across the crash + re-home cycle included.
 
-use crate::report::{scope_incidents, scope_timeline, IncidentOut, SeriesOut};
+use crate::report::{
+    arm_cost, scope_incidents, scope_timeline, ArmSummary, IncidentOut, SeriesOut,
+};
 use presto_core::SystemConfig;
 use presto_fleet::{fleet_scope_config, FleetConfig, FleetDeployment, FleetScopeBounds, FEED_STALE_CONFIDENT};
 use presto_net::LossProcess;
@@ -30,7 +32,6 @@ use presto_sim::metrics::Summary;
 use presto_sim::{
     FaultPlan, FleetLoadConfig, FleetQueryLoad, QueryLoadConfig, SimDuration, SimTime,
 };
-use serde::Serialize;
 
 /// Scenario parameters.
 #[derive(Clone, Debug)]
@@ -93,89 +94,91 @@ impl FleetScenarioConfig {
     }
 }
 
-/// One arm's (shedding on or off) measurements.
-#[derive(Clone, Debug, Serialize)]
-pub struct FleetArmReport {
-    /// Queries submitted.
-    pub submitted: u64,
-    /// Terminals observed (every submitted query must terminate).
-    pub completed: u64,
-    /// Terminals with a real (non-Failed) answer.
-    pub answered_ok: u64,
-    /// Honest failures (router + pipeline deadlines, entry death).
-    pub failed: u64,
-    /// Queries shed from hot proxies.
-    pub shed: u64,
-    /// Pipeline completions straight from radio-free fast paths.
-    pub completed_fast: u64,
-    /// Pipeline completions from matched pull replies.
-    pub completed_pull: u64,
-    /// Pull RPCs issued across proxies.
-    pub rpcs_issued: u64,
-    /// Shed/resumed queries that completed with a real answer.
-    pub forwarded_ok: u64,
-    /// Answered-query throughput over the phase, queries/hour.
-    pub throughput_qph: f64,
-    /// Terminal-latency p50, seconds (failures included at
-    /// deadline + grace).
-    pub p50_s: f64,
-    /// Terminal-latency p99, seconds.
-    pub p99_s: f64,
-    /// Per-proxy answered fraction, by entry proxy.
-    pub per_proxy_answer_rate: Vec<f64>,
-    /// min / max of `per_proxy_answer_rate` (1.0 = perfectly fair).
-    pub fairness: f64,
-    /// Answers claiming sigma ≤ tolerance while far from the live
-    /// truth (must be zero).
-    pub stale_confident: u64,
-    /// Sensors re-homed after the proxy crash.
-    pub rehomed: u64,
-    /// Inter-link messages dropped after retransmission exhaustion.
-    pub mesh_dropped: u64,
-    /// Leak probes after the drain window (all must be zero).
-    pub leaked_router: u64,
-    /// Leaked pending pipeline queries.
-    pub leaked_pipeline: u64,
-    /// Leaked pending-RPC entries (home + cross-proxy channels).
-    pub leaked_rpcs: u64,
-    /// Leaked in-flight mesh messages.
-    pub leaked_mesh: u64,
-    /// Terminal-latency p90, seconds.
-    pub p90_s: f64,
-    /// Real answers carrying an explicit serve-time age.
-    pub answer_age_count: u64,
-    /// Real data-carrying answers missing the age stamp (must be 0).
-    pub answer_age_missing: u64,
-    /// Answer-age p50, seconds.
-    pub answer_age_p50_s: f64,
-    /// Finished query traces collected from the router tracer.
-    pub trace_terminals: u64,
-    /// Traces with ≠1 terminal or non-monotone timestamps (must be 0).
-    pub trace_bad: u64,
-    /// Open trace logs (router + pipelines) after drain (must be 0).
-    pub trace_orphans: u64,
-    /// Downlink request retransmissions (home channels).
-    pub retransmits: u64,
-    /// Payload bytes the sensors offered to the MAC.
-    pub radio_bytes: u64,
-    /// Total sensor-tier energy, joules.
-    pub sensor_energy_j: f64,
-    /// The flattened unified-telemetry snapshot (the BENCH artifact
-    /// rows).
-    pub metrics: Vec<(String, f64)>,
-    /// presto-scope epoch trajectories (the BENCH timeline section).
-    pub timeline: Vec<SeriesOut>,
-    /// Watchdog incident log, with fault attribution.
-    pub incidents: Vec<IncidentOut>,
-    /// Incidents no injected fault explains (must be zero — every
-    /// violation in this scenario is the crash schedule's doing).
-    pub incidents_unattributed: u64,
+crate::json_row! {
+    /// One arm's (shedding on or off) measurements.
+    #[derive(Clone, Debug)]
+    pub struct FleetArmReport {
+        /// Queries submitted.
+        pub submitted: u64,
+        /// Terminals observed (every submitted query must terminate).
+        pub completed: u64,
+        /// Terminals with a real (non-Failed) answer.
+        pub answered_ok: u64,
+        /// Honest failures (router + pipeline deadlines, entry death).
+        pub failed: u64,
+        /// Queries shed from hot proxies (`fleet_router.shed`).
+        pub shed: Option<u64>,
+        /// Pipeline completions straight from radio-free fast paths.
+        pub completed_fast: u64,
+        /// Pipeline completions from matched pull replies.
+        pub completed_pull: u64,
+        /// Pull RPCs issued across proxies.
+        pub rpcs_issued: u64,
+        /// Shed/resumed queries that completed with a real answer.
+        pub forwarded_ok: u64,
+        /// Answered-query throughput over the phase, queries/hour.
+        pub throughput_qph: f64,
+        /// Terminal-latency p50, seconds (failures included at
+        /// deadline + grace).
+        pub p50_s: f64,
+        /// Terminal-latency p99, seconds.
+        pub p99_s: f64,
+        /// Per-proxy answered fraction, by entry proxy.
+        pub per_proxy_answer_rate: Vec<f64>,
+        /// min / max of `per_proxy_answer_rate` (1.0 = perfectly fair).
+        pub fairness: f64,
+        /// Answers claiming sigma ≤ tolerance while far from the live
+        /// truth (must be zero).
+        pub stale_confident: u64,
+        /// Sensors re-homed after the proxy crash.
+        pub rehomed: u64,
+        /// Inter-link messages dropped after retransmission exhaustion.
+        pub mesh_dropped: u64,
+        /// Leak probes after the drain window (all must be zero).
+        pub leaked_router: u64,
+        /// Leaked pending pipeline queries.
+        pub leaked_pipeline: u64,
+        /// Leaked pending-RPC entries (home + cross-proxy channels).
+        pub leaked_rpcs: u64,
+        /// Leaked in-flight mesh messages.
+        pub leaked_mesh: u64,
+        /// Terminal-latency p90, seconds.
+        pub p90_s: f64,
+        /// Real answers carrying an explicit serve-time age.
+        pub answer_age_count: u64,
+        /// Real data-carrying answers missing the age stamp (must be 0).
+        pub answer_age_missing: u64,
+        /// Answer-age p50, seconds.
+        pub answer_age_p50_s: f64,
+        /// Finished query traces collected from the router tracer.
+        pub trace_terminals: u64,
+        /// Traces with ≠1 terminal or non-monotone timestamps (must be 0).
+        pub trace_bad: u64,
+        /// Open trace logs (router + pipelines) after drain (must be 0).
+        pub trace_orphans: u64,
+        /// Downlink request retransmissions (home channels).
+        pub retransmits: Option<u64>,
+        /// Payload bytes the sensors offered to the MAC.
+        pub radio_bytes: Option<u64>,
+        /// Total sensor-tier energy, joules.
+        pub sensor_energy_j: f64,
+        /// The flattened unified-telemetry snapshot (the BENCH artifact
+        /// rows).
+        pub metrics: Vec<(String, f64)>,
+        /// presto-scope epoch trajectories (the BENCH timeline section).
+        pub timeline: Vec<SeriesOut>,
+        /// Watchdog incident log, with fault attribution.
+        pub incidents: Vec<IncidentOut>,
+        /// Incidents no injected fault explains (must be zero — every
+        /// violation in this scenario is the crash schedule's doing).
+        pub incidents_unattributed: u64,
+    }
 }
 
 impl FleetArmReport {
     /// This arm's row in the shared benchmark artifact.
-    pub fn summarize(&self, arm: &str) -> crate::report::ArmSummary {
-        crate::report::ArmSummary {
+    pub fn summarize(&self, arm: &str) -> ArmSummary {
+        ArmSummary {
             arm: arm.to_string(),
             submitted: self.submitted,
             answered_ok: self.answered_ok,
@@ -184,42 +187,44 @@ impl FleetArmReport {
             latency_p50_s: self.p50_s,
             latency_p90_s: self.p90_s,
             latency_p99_s: self.p99_s,
-            answer_age_count: self.answer_age_count,
-            answer_age_missing: self.answer_age_missing,
-            answer_age_p50_s: self.answer_age_p50_s,
+            answer_age_count: Some(self.answer_age_count),
+            answer_age_missing: Some(self.answer_age_missing),
+            answer_age_p50_s: Some(self.answer_age_p50_s),
             shed: self.shed,
-            rehomed: self.rehomed,
+            rehomed: Some(self.rehomed),
             retransmits: self.retransmits,
             radio_bytes: self.radio_bytes,
-            sensor_energy_j: self.sensor_energy_j,
-            cache_hit_rate: 0.0,
-            stale_confident: self.stale_confident,
-            trace_terminals: self.trace_terminals,
-            trace_bad: self.trace_bad,
-            trace_orphans: self.trace_orphans,
+            sensor_energy_j: Some(self.sensor_energy_j),
+            cache_hit_rate: None,
+            stale_confident: Some(self.stale_confident),
+            trace_terminals: Some(self.trace_terminals),
+            trace_bad: Some(self.trace_bad),
+            trace_orphans: Some(self.trace_orphans),
         }
     }
 }
 
-/// Scenario result: both arms plus the headline comparisons.
-#[derive(Clone, Debug, Serialize)]
-pub struct FleetScenarioReport {
-    /// Configured downlink loss.
-    pub configured_loss: f64,
-    /// Zipf exponent.
-    pub zipf_s: f64,
-    /// Shedding on.
-    pub shed_on: FleetArmReport,
-    /// Shedding off.
-    pub shed_off: FleetArmReport,
-    /// `shed_on.throughput / shed_off.throughput`.
-    pub throughput_gain: f64,
-    /// The shared-artifact alias for [`FleetScenarioReport::throughput_gain`]
-    /// — every scenario report emits `throughput_ratio` under the same
-    /// key.
-    pub throughput_ratio: f64,
-    /// `shed_off.p99 / shed_on.p99`.
-    pub p99_gain: f64,
+crate::json_row! {
+    /// Scenario result: both arms plus the headline comparisons.
+    #[derive(Clone, Debug)]
+    pub struct FleetScenarioReport {
+        /// Configured downlink loss.
+        pub configured_loss: f64,
+        /// Zipf exponent.
+        pub zipf_s: f64,
+        /// Shedding on.
+        pub shed_on: FleetArmReport,
+        /// Shedding off.
+        pub shed_off: FleetArmReport,
+        /// `shed_on.throughput / shed_off.throughput`.
+        pub throughput_gain: f64,
+        /// The shared-artifact alias for [`FleetScenarioReport::throughput_gain`]
+        /// — every scenario report emits `throughput_ratio` under the same
+        /// key.
+        pub throughput_ratio: f64,
+        /// `shed_off.p99 / shed_on.p99`.
+        pub p99_gain: f64,
+    }
 }
 
 fn fleet(cfg: &FleetScenarioConfig, shed: bool) -> FleetDeployment {
@@ -468,6 +473,7 @@ fn run_arm(cfg: &FleetScenarioConfig, shed: bool) -> FleetArmReport {
     let leaks = fleet.leaks();
     let ps = fleet.system.pipeline_stats();
     let snap = fleet.telemetry_snapshot();
+    let cost = arm_cost(&snap, &fleet.system.sensor_ledger_total());
     let trace_orphans = fleet.router.tracer().open_count() as u64
         + (0..cfg.proxies)
             .map(|p| fleet.system.proxies[p].pipeline().tracer().open_count() as u64)
@@ -477,7 +483,7 @@ fn run_arm(cfg: &FleetScenarioConfig, shed: bool) -> FleetArmReport {
         completed,
         answered_ok,
         failed,
-        shed: fleet.router.stats().shed,
+        shed: cost.shed,
         completed_fast: ps.completed_fast,
         completed_pull: ps.completed_pull,
         rpcs_issued: ps.rpcs_issued,
@@ -501,9 +507,9 @@ fn run_arm(cfg: &FleetScenarioConfig, shed: bool) -> FleetArmReport {
         trace_terminals,
         trace_bad,
         trace_orphans,
-        retransmits: snap.get("downlink.retransmits").unwrap_or(0.0) as u64,
-        radio_bytes: snap.get("sensor.bytes_sent").unwrap_or(0.0) as u64,
-        sensor_energy_j: fleet.system.sensor_ledger_total().total(),
+        retransmits: cost.retransmits,
+        radio_bytes: cost.radio_bytes,
+        sensor_energy_j: cost.sensor_energy_j,
         metrics: snap.flatten(),
         timeline: scope_timeline(fleet.system.scope()),
         incidents: scope_incidents(fleet.system.scope()),
@@ -640,14 +646,22 @@ mod tests {
                     .any(|s| s.path == "fleet.pressure_max" && !s.points.is_empty()),
                 "scope timeline missing the pressure trajectory ({label})"
             );
+            assert!(
+                arm.timeline.iter().all(|s| !s.points.is_empty()),
+                "scope series with no points ({label})"
+            );
         }
-        assert!(r.shed_on.shed > 0, "hot proxy never shed: {:?}", r.shed_on);
+        assert!(
+            r.shed_on.shed.is_some_and(|s| s > 0),
+            "hot proxy never shed: {:?}",
+            r.shed_on
+        );
         assert!(
             r.shed_on.forwarded_ok > 0,
             "no shed query answered: {:?}",
             r.shed_on
         );
-        assert_eq!(r.shed_off.shed, 0);
+        assert_eq!(r.shed_off.shed, Some(0));
         assert!(
             r.throughput_gain > 1.0,
             "shedding must raise answered throughput: {r:?}"

@@ -4,14 +4,15 @@
 //! experiments from DESIGN.md, is a pure function of a configuration
 //! here, so the `cargo run -p presto-bench --bin <id>` binaries, the
 //! Criterion benches, and the integration tests all execute identical
-//! code. Results serialize to JSON (via the workspace-approved `serde`)
-//! next to the human-readable tables.
+//! code. Results serialize to JSON through the crate's one JSON path,
+//! [`json`], next to the human-readable tables.
 
 pub mod diff;
 pub mod experiments;
 pub mod failure;
 pub mod figure2;
 pub mod fleet;
+pub mod json;
 pub mod partition;
 pub mod query_pipeline;
 pub mod report;
@@ -39,9 +40,4 @@ macro_rules! install_counting_alloc {
         #[global_allocator]
         static ALLOC: $crate::__CountingAlloc = $crate::__CountingAlloc;
     };
-}
-
-/// Renders a JSON value for machine-readable output next to each table.
-pub fn to_json<T: serde::Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
 }

@@ -14,7 +14,9 @@
 //! the throughput cost: a split brain may slow the fleet, never
 //! corrupt it.
 
-use crate::report::{scope_incidents, scope_timeline, IncidentOut, SeriesOut};
+use crate::report::{
+    arm_cost, scope_incidents, scope_timeline, ArmSummary, IncidentOut, SeriesOut,
+};
 use presto_core::SystemConfig;
 use presto_fleet::{fleet_scope_config, FleetConfig, FleetDeployment, FleetScopeBounds, FEED_STALE_CONFIDENT};
 use presto_net::LossProcess;
@@ -23,7 +25,6 @@ use presto_sim::metrics::Summary;
 use presto_sim::{
     FaultPlan, FleetLoadConfig, FleetQueryLoad, QueryLoadConfig, SimDuration, SimTime,
 };
-use serde::Serialize;
 
 /// Scenario parameters.
 #[derive(Clone, Debug)]
@@ -78,94 +79,98 @@ impl PartitionScenarioConfig {
     }
 }
 
-/// One arm's (partition injected or not) measurements.
-#[derive(Clone, Debug, Serialize)]
-pub struct PartitionArmReport {
-    /// Queries submitted.
-    pub submitted: u64,
-    /// Terminals observed (every submitted query must terminate).
-    pub completed: u64,
-    /// Terminals with a real (non-Failed) answer.
-    pub answered_ok: u64,
-    /// Honest failures.
-    pub failed: u64,
-    /// Admissions refused because the entry or serving proxy was
-    /// fenced (minority side of the split).
-    pub failed_fenced: u64,
-    /// Epochs in which the minority proxy was fenced.
-    pub fenced_epochs: u64,
-    /// Epochs in which any sensor's home uplink was driven by two
-    /// proxies, by a non-owner, or by a fenced/declared-dead proxy
-    /// (must be zero — the single-owner invariant).
-    pub double_served_epochs: u64,
-    /// Quorum death declarations.
-    pub deaths_declared: u64,
-    /// Quorum-confirmed rebirths (the heal re-admitting the minority).
-    pub rejoins: u64,
-    /// Sensors re-homed off the declared proxy.
-    pub rehomed: u64,
-    /// Answers claiming tight sigma while far from the live truth
-    /// (must be zero).
-    pub stale_confident: u64,
-    /// Real answers missing the explicit `answer_age` stamp (must be
-    /// zero).
-    pub answer_age_missing: u64,
-    /// Median age of real answers at serve time, seconds.
-    pub answer_age_p50_s: f64,
-    /// Answered-query throughput over the phase, queries/hour.
-    pub throughput_qph: f64,
-    /// Terminal-latency p99, seconds (failures included).
-    pub p99_s: f64,
-    /// Leak probes after the drain window (all must be zero).
-    pub leaked_router: u64,
-    /// Leaked pending pipeline queries.
-    pub leaked_pipeline: u64,
-    /// Leaked pending-RPC entries.
-    pub leaked_rpcs: u64,
-    /// Leaked in-flight mesh messages.
-    pub leaked_mesh: u64,
-    /// Terminal-latency p50 / p90, seconds.
-    pub p50_s: f64,
-    /// p90.
-    pub p90_s: f64,
-    /// Finished query traces collected from the router tracer.
-    pub trace_terminals: u64,
-    /// Traces with ≠1 terminal or non-monotone timestamps (must be 0).
-    pub trace_bad: u64,
-    /// Open trace logs (router + pipelines) after drain (must be 0).
-    pub trace_orphans: u64,
-    /// Failed / fenced terminals whose full cause chain the flight
-    /// recorder reproduces (begins `Submitted`, exactly one terminal,
-    /// matching cause).
-    pub recorder_chains_ok: u64,
-    /// Failed terminals the recorder lost or retained malformed (must
-    /// be 0 — the post-mortem guarantee).
-    pub recorder_chains_bad: u64,
-    /// Downlink request retransmissions (home channels).
-    pub retransmits: u64,
-    /// Payload bytes the sensors offered to the MAC.
-    pub radio_bytes: u64,
-    /// Total sensor-tier energy, joules.
-    pub sensor_energy_j: f64,
-    /// The flattened unified-telemetry snapshot (the BENCH artifact
-    /// rows).
-    pub metrics: Vec<(String, f64)>,
-    /// presto-scope epoch trajectories (the BENCH timeline section).
-    pub timeline: Vec<SeriesOut>,
-    /// Watchdog incident log, with fault attribution.
-    pub incidents: Vec<IncidentOut>,
-    /// Incidents no injected fault explains (must be zero in both
-    /// arms: outside the cut window the fleet is healthy).
-    pub incidents_unattributed: u64,
-    /// Incidents whose blame window names the injected mesh partition
-    /// (the partitioned arm must log at least one).
-    pub incidents_mesh_attributed: u64,
+crate::json_row! {
+    /// One arm's (partition injected or not) measurements.
+    #[derive(Clone, Debug)]
+    pub struct PartitionArmReport {
+        /// Queries submitted.
+        pub submitted: u64,
+        /// Terminals observed (every submitted query must terminate).
+        pub completed: u64,
+        /// Terminals with a real (non-Failed) answer.
+        pub answered_ok: u64,
+        /// Honest failures.
+        pub failed: u64,
+        /// Admissions refused because the entry or serving proxy was
+        /// fenced (minority side of the split).
+        pub failed_fenced: u64,
+        /// Epochs in which the minority proxy was fenced.
+        pub fenced_epochs: u64,
+        /// Epochs in which any sensor's home uplink was driven by two
+        /// proxies, by a non-owner, or by a fenced/declared-dead proxy
+        /// (must be zero — the single-owner invariant).
+        pub double_served_epochs: u64,
+        /// Quorum death declarations.
+        pub deaths_declared: u64,
+        /// Quorum-confirmed rebirths (the heal re-admitting the minority).
+        pub rejoins: u64,
+        /// Sensors re-homed off the declared proxy.
+        pub rehomed: u64,
+        /// Answers claiming tight sigma while far from the live truth
+        /// (must be zero).
+        pub stale_confident: u64,
+        /// Real answers missing the explicit `answer_age` stamp (must be
+        /// zero).
+        pub answer_age_missing: u64,
+        /// Median age of real answers at serve time, seconds.
+        pub answer_age_p50_s: f64,
+        /// Answered-query throughput over the phase, queries/hour.
+        pub throughput_qph: f64,
+        /// Terminal-latency p99, seconds (failures included).
+        pub p99_s: f64,
+        /// Leak probes after the drain window (all must be zero).
+        pub leaked_router: u64,
+        /// Leaked pending pipeline queries.
+        pub leaked_pipeline: u64,
+        /// Leaked pending-RPC entries.
+        pub leaked_rpcs: u64,
+        /// Leaked in-flight mesh messages.
+        pub leaked_mesh: u64,
+        /// Terminal-latency p50 / p90, seconds.
+        pub p50_s: f64,
+        /// p90.
+        pub p90_s: f64,
+        /// Finished query traces collected from the router tracer.
+        pub trace_terminals: u64,
+        /// Traces with ≠1 terminal or non-monotone timestamps (must be 0).
+        pub trace_bad: u64,
+        /// Open trace logs (router + pipelines) after drain (must be 0).
+        pub trace_orphans: u64,
+        /// Failed / fenced terminals whose full cause chain the flight
+        /// recorder reproduces (begins `Submitted`, exactly one terminal,
+        /// matching cause).
+        pub recorder_chains_ok: u64,
+        /// Failed terminals the recorder lost or retained malformed (must
+        /// be 0 — the post-mortem guarantee).
+        pub recorder_chains_bad: u64,
+        /// Downlink request retransmissions (home channels).
+        pub retransmits: Option<u64>,
+        /// Payload bytes the sensors offered to the MAC.
+        pub radio_bytes: Option<u64>,
+        /// Total sensor-tier energy, joules.
+        pub sensor_energy_j: f64,
+        /// Queries the fleet router shed (`fleet_router.shed`).
+        pub shed: Option<u64>,
+        /// The flattened unified-telemetry snapshot (the BENCH artifact
+        /// rows).
+        pub metrics: Vec<(String, f64)>,
+        /// presto-scope epoch trajectories (the BENCH timeline section).
+        pub timeline: Vec<SeriesOut>,
+        /// Watchdog incident log, with fault attribution.
+        pub incidents: Vec<IncidentOut>,
+        /// Incidents no injected fault explains (must be zero in both
+        /// arms: outside the cut window the fleet is healthy).
+        pub incidents_unattributed: u64,
+        /// Incidents whose blame window names the injected mesh partition
+        /// (the partitioned arm must log at least one).
+        pub incidents_mesh_attributed: u64,
+    }
 }
 
 impl PartitionArmReport {
     /// This arm's row in the shared benchmark artifact.
-    pub fn summarize(&self, arm: &str) -> crate::report::ArmSummary {
-        crate::report::ArmSummary {
+    pub fn summarize(&self, arm: &str) -> ArmSummary {
+        ArmSummary {
             arm: arm.to_string(),
             submitted: self.submitted,
             answered_ok: self.answered_ok,
@@ -174,37 +179,39 @@ impl PartitionArmReport {
             latency_p50_s: self.p50_s,
             latency_p90_s: self.p90_s,
             latency_p99_s: self.p99_s,
-            answer_age_count: self.answered_ok - self.answer_age_missing,
-            answer_age_missing: self.answer_age_missing,
-            answer_age_p50_s: self.answer_age_p50_s,
-            shed: 0,
-            rehomed: self.rehomed,
+            answer_age_count: Some(self.answered_ok - self.answer_age_missing),
+            answer_age_missing: Some(self.answer_age_missing),
+            answer_age_p50_s: Some(self.answer_age_p50_s),
+            shed: self.shed,
+            rehomed: Some(self.rehomed),
             retransmits: self.retransmits,
             radio_bytes: self.radio_bytes,
-            sensor_energy_j: self.sensor_energy_j,
-            cache_hit_rate: 0.0,
-            stale_confident: self.stale_confident,
-            trace_terminals: self.trace_terminals,
-            trace_bad: self.trace_bad,
-            trace_orphans: self.trace_orphans,
+            sensor_energy_j: Some(self.sensor_energy_j),
+            cache_hit_rate: None,
+            stale_confident: Some(self.stale_confident),
+            trace_terminals: Some(self.trace_terminals),
+            trace_bad: Some(self.trace_bad),
+            trace_orphans: Some(self.trace_orphans),
         }
     }
 }
 
-/// Scenario result: both arms plus the headline comparison.
-#[derive(Clone, Debug, Serialize)]
-pub struct PartitionScenarioReport {
-    /// Configured downlink loss.
-    pub configured_loss: f64,
-    /// The partitioned proxy.
-    pub minority: usize,
-    /// Partition injected.
-    pub with_partition: PartitionArmReport,
-    /// Same seed, no partition.
-    pub without_partition: PartitionArmReport,
-    /// `with.throughput / without.throughput` — the availability cost
-    /// of the split brain (bounded below by the CI smoke).
-    pub throughput_ratio: f64,
+crate::json_row! {
+    /// Scenario result: both arms plus the headline comparison.
+    #[derive(Clone, Debug)]
+    pub struct PartitionScenarioReport {
+        /// Configured downlink loss.
+        pub configured_loss: f64,
+        /// The partitioned proxy.
+        pub minority: usize,
+        /// Partition injected.
+        pub with_partition: PartitionArmReport,
+        /// Same seed, no partition.
+        pub without_partition: PartitionArmReport,
+        /// `with.throughput / without.throughput` — the availability cost
+        /// of the split brain (bounded below by the CI smoke).
+        pub throughput_ratio: f64,
+    }
 }
 
 fn fleet(cfg: &PartitionScenarioConfig, partition: bool) -> FleetDeployment {
@@ -433,6 +440,7 @@ fn run_arm(cfg: &PartitionScenarioConfig, partition: bool) -> PartitionArmReport
     let leaks = fleet.leaks();
     let ms = fleet.membership().stats();
     let snap = fleet.telemetry_snapshot();
+    let cost = arm_cost(&snap, &fleet.system.sensor_ledger_total());
     let trace_orphans = fleet.router.tracer().open_count() as u64
         + (0..cfg.proxies)
             .map(|p| fleet.system.proxies[p].pipeline().tracer().open_count() as u64)
@@ -465,9 +473,10 @@ fn run_arm(cfg: &PartitionScenarioConfig, partition: bool) -> PartitionArmReport
         trace_orphans,
         recorder_chains_ok,
         recorder_chains_bad,
-        retransmits: snap.get("downlink.retransmits").unwrap_or(0.0) as u64,
-        radio_bytes: snap.get("sensor.bytes_sent").unwrap_or(0.0) as u64,
-        sensor_energy_j: fleet.system.sensor_ledger_total().total(),
+        retransmits: cost.retransmits,
+        radio_bytes: cost.radio_bytes,
+        sensor_energy_j: cost.sensor_energy_j,
+        shed: cost.shed,
         metrics: snap.flatten(),
         timeline: scope_timeline(fleet.system.scope()),
         incidents_unattributed: fleet.system.scope().unattributed_incidents() as u64,
@@ -536,6 +545,17 @@ mod tests {
                 "watchdog fired outside any fault window ({label}): {:?}",
                 arm.incidents
             );
+            assert!(
+                !arm.timeline.is_empty() && arm.timeline.iter().all(|s| !s.points.is_empty()),
+                "scope timeline empty or with a pointless series ({label})"
+            );
+            let shed = arm.metrics.iter().find(|(k, _)| k == "fleet_router.shed");
+            assert_eq!(
+                arm.shed,
+                shed.map(|&(_, v)| v as u64),
+                "arm shed must be the snapshot's fleet_router.shed ({label})"
+            );
+            assert!(arm.shed.is_some(), "({label}) shed unmeasured");
         }
         assert!(
             r.without_partition.incidents.is_empty(),

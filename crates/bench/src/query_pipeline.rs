@@ -16,7 +16,7 @@
 //!
 //! Both drivers run the same horizon plus the same drain window, so
 //! throughput compares answered-query counts over equal wall-clock.
-//! The report carries p50/p95/p99 latency for both, the pipeline's
+//! The report carries p50/p90/p95/p99 latency for both, the pipeline's
 //! peak in-flight pull count, coalescing and reply-cache counters, and
 //! the leak probes the CI smoke asserts on.
 
@@ -27,7 +27,6 @@ use presto_net::LossProcess;
 use presto_proxy::AnswerSource;
 use presto_sim::metrics::Summary;
 use presto_sim::{QueryArrival, QueryKind, QueryLoad, QueryLoadConfig, SimDuration, SimTime};
-use serde::Serialize;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -78,23 +77,28 @@ impl QueryPipelineConfig {
     }
 }
 
-/// Latency percentiles in seconds.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
-pub struct LatencyProfile {
-    /// Median.
-    pub p50_s: f64,
-    /// 95th percentile.
-    pub p95_s: f64,
-    /// 99th percentile.
-    pub p99_s: f64,
-    /// Mean.
-    pub mean_s: f64,
+crate::json_row! {
+    /// Latency percentiles in seconds.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct LatencyProfile {
+        /// Median.
+        pub p50_s: f64,
+        /// 90th percentile.
+        pub p90_s: f64,
+        /// 95th percentile.
+        pub p95_s: f64,
+        /// 99th percentile.
+        pub p99_s: f64,
+        /// Mean.
+        pub mean_s: f64,
+    }
 }
 
 impl LatencyProfile {
     fn of(s: &Summary) -> Self {
         LatencyProfile {
             p50_s: s.median(),
+            p90_s: s.quantile(0.90),
             p95_s: s.p95(),
             p99_s: s.quantile(0.99),
             mean_s: s.mean(),
@@ -102,53 +106,55 @@ impl LatencyProfile {
     }
 }
 
-/// Experiment result.
-#[derive(Clone, Debug, Serialize)]
-pub struct QueryPipelineReport {
-    /// Configured downlink loss.
-    pub configured_loss: f64,
-    /// Queries emitted by the workload.
-    pub submitted: u64,
-    /// Pipeline: queries completed (any outcome).
-    pub completed: u64,
-    /// Pipeline: completions with a real answer (non-Failed).
-    pub answered_ok: u64,
-    /// Pipeline: honest deadline failures.
-    pub failed: u64,
-    /// Completions straight from cache/model fast paths.
-    pub completed_fast: u64,
-    /// Completions from the shared pull-reply cache (no radio).
-    pub completed_cached: u64,
-    /// Queries that coalesced onto an in-flight pull.
-    pub coalesced: u64,
-    /// Pull RPCs issued by the pipeline.
-    pub rpcs_issued: u64,
-    /// Peak simultaneously in-flight pulls at the proxy.
-    pub max_in_flight: u64,
-    /// Shared-cache hit / miss counters.
-    pub reply_cache_hits: u64,
-    /// Lookups that went to the radio.
-    pub reply_cache_misses: u64,
-    /// Leak probes after the drain window (must both be zero).
-    pub leaked_pending: u64,
-    /// Leaked pending-RPC table entries after the drain window.
-    pub leaked_rpcs: u64,
-    /// Pipeline answered-query throughput over the phase, queries/hour.
-    pub pipeline_throughput_qph: f64,
-    /// Pipeline per-query latency percentiles.
-    pub pipeline_latency: LatencyProfile,
-    /// Baseline: queries served within the same phase.
-    pub baseline_served: u64,
-    /// Baseline: served with a real answer.
-    pub baseline_ok: u64,
-    /// Baseline: arrivals still queued when the phase ended.
-    pub baseline_unserved: u64,
-    /// Baseline throughput over the same phase, queries/hour.
-    pub baseline_throughput_qph: f64,
-    /// Baseline per-query latency percentiles (queue wait + RPC).
-    pub baseline_latency: LatencyProfile,
-    /// `pipeline_throughput_qph / baseline_throughput_qph`.
-    pub speedup: f64,
+crate::json_row! {
+    /// Experiment result.
+    #[derive(Clone, Debug)]
+    pub struct QueryPipelineReport {
+        /// Configured downlink loss.
+        pub configured_loss: f64,
+        /// Queries emitted by the workload.
+        pub submitted: u64,
+        /// Pipeline: queries completed (any outcome).
+        pub completed: u64,
+        /// Pipeline: completions with a real answer (non-Failed).
+        pub answered_ok: u64,
+        /// Pipeline: honest deadline failures.
+        pub failed: u64,
+        /// Completions straight from cache/model fast paths.
+        pub completed_fast: u64,
+        /// Completions from the shared pull-reply cache (no radio).
+        pub completed_cached: u64,
+        /// Queries that coalesced onto an in-flight pull.
+        pub coalesced: u64,
+        /// Pull RPCs issued by the pipeline.
+        pub rpcs_issued: u64,
+        /// Peak simultaneously in-flight pulls at the proxy.
+        pub max_in_flight: u64,
+        /// Shared-cache hit / miss counters.
+        pub reply_cache_hits: u64,
+        /// Lookups that went to the radio.
+        pub reply_cache_misses: u64,
+        /// Leak probes after the drain window (must both be zero).
+        pub leaked_pending: u64,
+        /// Leaked pending-RPC table entries after the drain window.
+        pub leaked_rpcs: u64,
+        /// Pipeline answered-query throughput over the phase, queries/hour.
+        pub pipeline_throughput_qph: f64,
+        /// Pipeline per-query latency percentiles.
+        pub pipeline_latency: LatencyProfile,
+        /// Baseline: queries served within the same phase.
+        pub baseline_served: u64,
+        /// Baseline: served with a real answer.
+        pub baseline_ok: u64,
+        /// Baseline: arrivals still queued when the phase ended.
+        pub baseline_unserved: u64,
+        /// Baseline throughput over the same phase, queries/hour.
+        pub baseline_throughput_qph: f64,
+        /// Baseline per-query latency percentiles (queue wait + RPC).
+        pub baseline_latency: LatencyProfile,
+        /// `pipeline_throughput_qph / baseline_throughput_qph`.
+        pub speedup: f64,
+    }
 }
 
 fn system(cfg: &QueryPipelineConfig) -> PrestoSystem {
@@ -339,6 +345,12 @@ mod tests {
             r.pipeline_latency.p99_s.is_finite() && r.pipeline_latency.p99_s > 0.0,
             "p99 must be finite and real: {r:?}"
         );
+        for l in [r.pipeline_latency, r.baseline_latency] {
+            assert!(
+                l.p50_s <= l.p90_s && l.p90_s <= l.p95_s && l.p95_s <= l.p99_s,
+                "percentiles out of order: {l:?}"
+            );
+        }
         assert!(
             r.pipeline_throughput_qph > r.baseline_throughput_qph,
             "pipeline must beat the serialized baseline: {r:?}"

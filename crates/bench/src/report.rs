@@ -12,131 +12,176 @@
 //!   queries/sec, latency percentiles, answer-age coverage,
 //!   shed/re-home counts, radio bytes, retransmits, energy, and the
 //!   full flattened unified-telemetry snapshot.
+//!
+//! Both render from one [`Json`] value built by [`ToJson`], so the two
+//! outputs cannot disagree, and a field an arm does not measure is
+//! absent from both.
 
+use crate::json::{Json, ToJson};
+use presto_sim::EnergyLedger;
 use presto_telemetry::{PrestoScope, Snapshot};
-use serde::Serialize;
 
-/// One flattened telemetry reading (`dotted.path`, value).
-#[derive(Clone, Debug, Serialize)]
-pub struct MetricLine {
-    /// Dotted snapshot path (`pipeline.rpcs_issued`, `profiler.epochs`).
-    pub key: String,
-    /// The reading.
-    pub value: f64,
+crate::json_row! {
+    /// One flattened telemetry reading (`dotted.path`, value).
+    #[derive(Clone, Debug)]
+    pub struct MetricLine {
+        /// Dotted snapshot path (`pipeline.rpcs_issued`, `profiler.epochs`).
+        pub key: String,
+        /// The reading.
+        pub value: f64,
+    }
 }
 
-/// One arm's headline numbers in the shared artifact.
-#[derive(Clone, Debug, Default, Serialize)]
-pub struct ArmSummary {
-    /// Arm label (`shed-on`, `with-partition`, …).
-    pub arm: String,
-    /// Queries submitted.
-    pub submitted: u64,
-    /// Terminals with a real (non-Failed) answer.
-    pub answered_ok: u64,
-    /// Honest failures.
-    pub failed: u64,
-    /// Answered-query throughput, queries per second.
-    pub queries_per_sec: f64,
-    /// Terminal-latency percentiles, seconds (failures included).
-    pub latency_p50_s: f64,
-    /// p90.
-    pub latency_p90_s: f64,
-    /// p99.
-    pub latency_p99_s: f64,
-    /// Answers that carried an explicit serve-time age.
-    pub answer_age_count: u64,
-    /// Real data-carrying answers *missing* the age stamp (must be 0 —
-    /// the coverage probe CI greps).
-    pub answer_age_missing: u64,
-    /// Answer-age p50, seconds.
-    pub answer_age_p50_s: f64,
-    /// Queries shed off hot proxies.
-    pub shed: u64,
-    /// Sensors re-homed across proxy deaths.
-    pub rehomed: u64,
-    /// Downlink request retransmissions.
-    pub retransmits: u64,
-    /// Payload bytes the sensors offered to the MAC.
-    pub radio_bytes: u64,
-    /// Total sensor-tier energy, joules.
+crate::json_row! {
+    /// One arm's headline numbers in the shared artifact. Every
+    /// `Option` field is a reading some scenario cannot take; `None`
+    /// leaves it out of the JSON and the summary line, never a 0.
+    #[derive(Clone, Debug, Default)]
+    pub struct ArmSummary {
+        /// Arm label (`shed-on`, `with-partition`, …).
+        pub arm: String,
+        /// Queries submitted.
+        pub submitted: u64,
+        /// Terminals with a real (non-Failed) answer.
+        pub answered_ok: u64,
+        /// Honest failures.
+        pub failed: u64,
+        /// Answered-query throughput, queries per second.
+        pub queries_per_sec: f64,
+        /// Terminal-latency percentiles, seconds (failures included).
+        pub latency_p50_s: f64,
+        /// p90.
+        pub latency_p90_s: f64,
+        /// p99.
+        pub latency_p99_s: f64,
+        /// Answers that carried an explicit serve-time age.
+        pub answer_age_count: Option<u64>,
+        /// Real data-carrying answers *missing* the age stamp (must be 0).
+        pub answer_age_missing: Option<u64>,
+        /// Answer-age p50, seconds.
+        pub answer_age_p50_s: Option<f64>,
+        /// Queries shed off hot proxies (fleet-tier scenarios only).
+        pub shed: Option<u64>,
+        /// Sensors re-homed across proxy deaths (fleet-tier scenarios only).
+        pub rehomed: Option<u64>,
+        /// Downlink request retransmissions.
+        pub retransmits: Option<u64>,
+        /// Payload bytes the sensors offered to the MAC.
+        pub radio_bytes: Option<u64>,
+        /// Total sensor-tier energy, joules.
+        pub sensor_energy_j: Option<f64>,
+        /// Cache hit rate over archive-range lookups (slice-tier lookups
+        /// when sliced execution is on, reply-cache lookups otherwise).
+        pub cache_hit_rate: Option<f64>,
+        /// Confident answers contradicted by their own window — an Ok
+        /// answer with no samples, out-of-window samples, or a coverage
+        /// stamp from the future (must be 0).
+        pub stale_confident: Option<u64>,
+        /// Finished query traces collected.
+        pub trace_terminals: Option<u64>,
+        /// Traces violating well-formedness (≠1 terminal or non-monotone
+        /// timestamps; must be 0).
+        pub trace_bad: Option<u64>,
+        /// Open (un-terminated) trace logs after the drain (must be 0).
+        pub trace_orphans: Option<u64>,
+    }
+}
+
+crate::json_row! {
+    /// One downsampled bin of a presto-scope time series.
+    #[derive(Clone, Debug)]
+    pub struct TimelinePoint {
+        /// Bin start, simulated seconds.
+        pub t_s: f64,
+        /// Minimum reading folded into the bin.
+        pub min: f64,
+        /// Maximum reading folded in.
+        pub max: f64,
+        /// Most recent reading folded in.
+        pub last: f64,
+        /// Raw readings folded in.
+        pub samples: u64,
+    }
+}
+
+crate::json_row! {
+    /// One sampled series' epoch trajectory.
+    #[derive(Clone, Debug)]
+    pub struct SeriesOut {
+        /// Dotted snapshot path (or feed name) the series watched.
+        pub path: String,
+        /// Downsampled bins, oldest first.
+        pub points: Vec<TimelinePoint>,
+    }
+}
+
+crate::json_row! {
+    /// One watchdog incident, with its blame window.
+    #[derive(Clone, Debug)]
+    pub struct IncidentOut {
+        /// Rule family (`stale_confident`, `answer_age_p99`, …).
+        pub rule: String,
+        /// The watched path.
+        pub path: String,
+        /// First violating epoch, simulated seconds.
+        pub opened_s: f64,
+        /// First clean epoch after the episode (`null` while still open).
+        pub closed_s: Option<f64> => crate::json::nullable,
+        /// Worst offending reading inside the episode.
+        pub observed: f64,
+        /// The rule's bound.
+        pub bound: f64,
+        /// Whether any injected fault overlaps the violation window.
+        pub attributed: bool,
+        /// The `FaultPlan` faults active in the padded violation window.
+        pub faults: Vec<String>,
+    }
+}
+
+crate::json_row! {
+    /// The benchmark artifact a scenario bin writes.
+    #[derive(Clone, Debug, Default)]
+    pub struct BenchJson {
+        /// Scenario name (`fleet`, `partition`, `query_pipeline`).
+        pub scenario: String,
+        /// Headline cross-arm ratio (primary/secondary arm throughput).
+        pub throughput_ratio: f64,
+        /// Per-arm headline numbers.
+        pub arms: Vec<ArmSummary>,
+        /// The primary arm's flattened unified-telemetry snapshot.
+        pub metrics: Vec<MetricLine>,
+        /// The primary arm's presto-scope epoch trajectories.
+        pub timeline: Vec<SeriesOut>,
+        /// The primary arm's watchdog incident log.
+        pub incidents: Vec<IncidentOut>,
+    }
+}
+
+/// One arm's radio, energy and shedding cost, defined once for every
+/// scenario that runs a full deployment.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ArmCost {
+    /// Downlink request retransmissions (`downlink.retransmits`).
+    pub retransmits: Option<u64>,
+    /// Payload bytes the sensors offered to the MAC (`sensor.bytes_sent`).
+    pub radio_bytes: Option<u64>,
+    /// Total sensor-tier energy from the sensor ledger, joules.
     pub sensor_energy_j: f64,
-    /// Cache hit rate over archive-range lookups (slice-tier lookups
-    /// when sliced execution is on, reply-cache lookups otherwise).
-    pub cache_hit_rate: f64,
-    /// Confident answers contradicted by their own window — an Ok
-    /// answer with no samples, out-of-window samples, or a coverage
-    /// stamp from the future (must be 0).
-    pub stale_confident: u64,
-    /// Finished query traces collected.
-    pub trace_terminals: u64,
-    /// Traces violating well-formedness (≠1 terminal or non-monotone
-    /// timestamps; must be 0).
-    pub trace_bad: u64,
-    /// Open (un-terminated) trace logs after the drain (must be 0).
-    pub trace_orphans: u64,
+    /// Queries the fleet router shed (`fleet_router.shed`); `None` when
+    /// the deployment has no fleet router.
+    pub shed: Option<u64>,
 }
 
-/// One downsampled bin of a presto-scope time series.
-#[derive(Clone, Debug, Serialize)]
-pub struct TimelinePoint {
-    /// Bin start, simulated seconds.
-    pub t_s: f64,
-    /// Minimum reading folded into the bin.
-    pub min: f64,
-    /// Maximum reading folded in.
-    pub max: f64,
-    /// Most recent reading folded in.
-    pub last: f64,
-    /// Raw readings folded in.
-    pub samples: u64,
-}
-
-/// One sampled series' epoch trajectory.
-#[derive(Clone, Debug, Serialize)]
-pub struct SeriesOut {
-    /// Dotted snapshot path (or feed name) the series watched.
-    pub path: String,
-    /// Downsampled bins, oldest first.
-    pub points: Vec<TimelinePoint>,
-}
-
-/// One watchdog incident, with its blame window.
-#[derive(Clone, Debug, Serialize)]
-pub struct IncidentOut {
-    /// Rule family (`stale_confident`, `answer_age_p99`, …).
-    pub rule: String,
-    /// The watched path.
-    pub path: String,
-    /// First violating epoch, simulated seconds.
-    pub opened_s: f64,
-    /// First clean epoch after the episode (`None` if still open).
-    pub closed_s: Option<f64>,
-    /// Worst offending reading inside the episode.
-    pub observed: f64,
-    /// The rule's bound.
-    pub bound: f64,
-    /// Whether any injected fault overlaps the violation window.
-    pub attributed: bool,
-    /// The `FaultPlan` faults active in the padded violation window.
-    pub faults: Vec<String>,
-}
-
-/// The benchmark artifact a scenario bin writes.
-#[derive(Clone, Debug, Default, Serialize)]
-pub struct BenchJson {
-    /// Scenario name (`fleet`, `partition`, `query_pipeline`).
-    pub scenario: String,
-    /// Headline cross-arm ratio (primary/secondary arm throughput).
-    pub throughput_ratio: f64,
-    /// Per-arm headline numbers.
-    pub arms: Vec<ArmSummary>,
-    /// The primary arm's flattened unified-telemetry snapshot.
-    pub metrics: Vec<MetricLine>,
-    /// The primary arm's presto-scope epoch trajectories.
-    pub timeline: Vec<SeriesOut>,
-    /// The primary arm's watchdog incident log.
-    pub incidents: Vec<IncidentOut>,
+/// Reads an arm's [`ArmCost`] from its final telemetry snapshot and its
+/// summed sensor energy ledger.
+pub(crate) fn arm_cost(snap: &Snapshot, sensors: &EnergyLedger) -> ArmCost {
+    let count = |key: &str| snap.get(key).map(|v| v as u64);
+    ArmCost {
+        retransmits: count("downlink.retransmits"),
+        radio_bytes: count("sensor.bytes_sent"),
+        sensor_energy_j: sensors.total(),
+        shed: count("fleet_router.shed"),
+    }
 }
 
 /// Exports a scope's ring-buffered series as artifact timelines.
@@ -179,54 +224,36 @@ pub fn scope_incidents(scope: &PrestoScope) -> Vec<IncidentOut> {
         .collect()
 }
 
-/// Flattens a telemetry snapshot into artifact rows.
-pub fn snapshot_metrics(snap: &Snapshot) -> Vec<MetricLine> {
-    snap.flatten()
-        .into_iter()
-        .map(|(key, value)| MetricLine { key, value })
+/// Turns an arm's flattened snapshot into artifact rows.
+pub fn metric_lines(metrics: &[(String, f64)]) -> Vec<MetricLine> {
+    metrics
+        .iter()
+        .map(|(key, value)| MetricLine {
+            key: key.clone(),
+            value: *value,
+        })
         .collect()
 }
 
-/// Renders the stable grep lines every scenario bin prints:
+/// Renders the stable grep lines every scenario bin prints, one per
+/// arm with the arm's JSON fields in order, then the headline ratio:
 ///
 /// ```text
 /// scenario=fleet arm=shed-on submitted=812 answered_ok=700 ...
-/// scenario=fleet throughput_ratio=1.43
+/// scenario=fleet throughput_ratio=1.4300
 /// ```
 pub fn render_summary(b: &BenchJson) -> String {
     let mut out = String::new();
-    for a in &b.arms {
-        out.push_str(&format!(
-            "scenario={} arm={} submitted={} answered_ok={} failed={} \
-             queries_per_sec={:.4} latency_p50_s={:.3} latency_p90_s={:.3} \
-             latency_p99_s={:.3} answer_age_count={} answer_age_missing={} \
-             answer_age_p50_s={:.3} shed={} rehomed={} retransmits={} \
-             radio_bytes={} sensor_energy_j={:.3} cache_hit_rate={:.4} \
-             stale_confident={} trace_terminals={} \
-             trace_bad={} trace_orphans={}\n",
-            b.scenario,
-            a.arm,
-            a.submitted,
-            a.answered_ok,
-            a.failed,
-            a.queries_per_sec,
-            a.latency_p50_s,
-            a.latency_p90_s,
-            a.latency_p99_s,
-            a.answer_age_count,
-            a.answer_age_missing,
-            a.answer_age_p50_s,
-            a.shed,
-            a.rehomed,
-            a.retransmits,
-            a.radio_bytes,
-            a.sensor_energy_j,
-            a.cache_hit_rate,
-            a.stale_confident,
-            a.trace_terminals,
-            a.trace_bad,
-            a.trace_orphans,
-        ));
+    for arm in &b.arms {
+        out.push_str(&format!("scenario={}", b.scenario));
+        for (key, value) in arm.to_json().as_obj().unwrap_or_default() {
+            let value = match value {
+                Json::Str(s) => s.clone(),
+                v => v.render(),
+            };
+            out.push_str(&format!(" {key}={value}"));
+        }
+        out.push('\n');
     }
     out.push_str(&format!(
         "scenario={} throughput_ratio={:.4}\n",
@@ -235,180 +262,22 @@ pub fn render_summary(b: &BenchJson) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Deterministic JSON emission
-// ---------------------------------------------------------------------------
-//
-// The vendored serde_json shim transliterates `Debug` output, which is
-// fine for human-readable experiment dumps but too loose for artifacts
-// that get byte-compared: `bench-diff` and the committed baselines need
-// every run of the same binary on the same seed to emit the identical
-// byte stream. The emitter below renders `BenchJson` directly — strings
-// escaped per RFC 8259, floats via Rust's shortest round-trip `Display`
-// (deterministic for identical bit patterns), non-finite floats as
-// `null` — with no dependence on `Debug` formatting.
-
-/// Escapes a string for a JSON string literal (quotes not included).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders a float deterministically: shortest round-trip decimal for
-/// finite values, `null` for NaN/±inf (JSON has no non-finite numbers).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn push_arm(out: &mut String, a: &ArmSummary, indent: &str) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        out,
-        "{indent}{{\n\
-         {indent}  \"arm\": \"{}\",\n\
-         {indent}  \"submitted\": {},\n\
-         {indent}  \"answered_ok\": {},\n\
-         {indent}  \"failed\": {},\n\
-         {indent}  \"queries_per_sec\": {},\n\
-         {indent}  \"latency_p50_s\": {},\n\
-         {indent}  \"latency_p90_s\": {},\n\
-         {indent}  \"latency_p99_s\": {},\n\
-         {indent}  \"answer_age_count\": {},\n\
-         {indent}  \"answer_age_missing\": {},\n\
-         {indent}  \"answer_age_p50_s\": {},\n\
-         {indent}  \"shed\": {},\n\
-         {indent}  \"rehomed\": {},\n\
-         {indent}  \"retransmits\": {},\n\
-         {indent}  \"radio_bytes\": {},\n\
-         {indent}  \"sensor_energy_j\": {},\n\
-         {indent}  \"cache_hit_rate\": {},\n\
-         {indent}  \"stale_confident\": {},\n\
-         {indent}  \"trace_terminals\": {},\n\
-         {indent}  \"trace_bad\": {},\n\
-         {indent}  \"trace_orphans\": {}\n\
-         {indent}}}",
-        json_escape(&a.arm),
-        a.submitted,
-        a.answered_ok,
-        a.failed,
-        json_num(a.queries_per_sec),
-        json_num(a.latency_p50_s),
-        json_num(a.latency_p90_s),
-        json_num(a.latency_p99_s),
-        a.answer_age_count,
-        a.answer_age_missing,
-        json_num(a.answer_age_p50_s),
-        a.shed,
-        a.rehomed,
-        a.retransmits,
-        a.radio_bytes,
-        json_num(a.sensor_energy_j),
-        json_num(a.cache_hit_rate),
-        a.stale_confident,
-        a.trace_terminals,
-        a.trace_bad,
-        a.trace_orphans,
-    );
-}
-
 /// Renders the artifact as deterministic JSON text.
 pub fn render_bench_json(b: &BenchJson) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\n  \"scenario\": \"{}\",\n  \"throughput_ratio\": {},\n  \"arms\": [",
-        json_escape(&b.scenario),
-        json_num(b.throughput_ratio)
-    );
-    for (i, a) in b.arms.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        push_arm(&mut out, a, "    ");
+    b.to_json().render() + "\n"
+}
+
+/// Prints every failed check under `{label} FAILED:` and exits 1;
+/// returns when there are none.
+pub fn exit_on_failures(label: &str, failures: &[String]) {
+    if failures.is_empty() {
+        return;
     }
-    out.push_str(if b.arms.is_empty() { "],\n" } else { "\n  ],\n" });
-    out.push_str("  \"metrics\": [");
-    for (i, m) in b.metrics.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        let _ = write!(
-            out,
-            "    {{\"key\": \"{}\", \"value\": {}}}",
-            json_escape(&m.key),
-            json_num(m.value)
-        );
+    eprintln!("{label} FAILED:");
+    for f in failures {
+        eprintln!("  - {f}");
     }
-    out.push_str(if b.metrics.is_empty() { "],\n" } else { "\n  ],\n" });
-    out.push_str("  \"timeline\": [");
-    for (i, s) in b.timeline.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        let _ = write!(
-            out,
-            "    {{\"path\": \"{}\", \"points\": [",
-            json_escape(&s.path)
-        );
-        for (j, p) in s.points.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"t_s\": {}, \"min\": {}, \"max\": {}, \"last\": {}, \"samples\": {}}}",
-                json_num(p.t_s),
-                json_num(p.min),
-                json_num(p.max),
-                json_num(p.last),
-                p.samples
-            );
-        }
-        out.push_str("]}");
-    }
-    out.push_str(if b.timeline.is_empty() { "],\n" } else { "\n  ],\n" });
-    out.push_str("  \"incidents\": [");
-    for (i, inc) in b.incidents.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        let closed = match inc.closed_s {
-            Some(t) => json_num(t),
-            None => "null".to_string(),
-        };
-        let faults: Vec<String> = inc
-            .faults
-            .iter()
-            .map(|f| format!("\"{}\"", json_escape(f)))
-            .collect();
-        let _ = write!(
-            out,
-            "    {{\"rule\": \"{}\", \"path\": \"{}\", \"opened_s\": {}, \
-             \"closed_s\": {}, \"observed\": {}, \"bound\": {}, \
-             \"attributed\": {}, \"faults\": [{}]}}",
-            json_escape(&inc.rule),
-            json_escape(&inc.path),
-            json_num(inc.opened_s),
-            closed,
-            json_num(inc.observed),
-            json_num(inc.bound),
-            inc.attributed,
-            faults.join(", ")
-        );
-    }
-    out.push_str(if b.incidents.is_empty() { "]\n" } else { "\n  ]\n" });
-    out.push_str("}\n");
-    out
+    std::process::exit(1);
 }
 
 /// Writes the artifact as deterministic JSON to `path`.

@@ -19,7 +19,9 @@
 //! answer contradicted by its own window — must be zero), and the
 //! trace/age coverage counters the CI smoke asserts on.
 
-use crate::report::{scope_incidents, scope_timeline, IncidentOut, SeriesOut};
+use crate::report::{
+    arm_cost, scope_incidents, scope_timeline, ArmSummary, IncidentOut, SeriesOut,
+};
 use presto_core::{PipelineAnswer, PrestoSystem, StoreQuery, SystemConfig};
 use presto_fleet::FEED_STALE_CONFIDENT;
 use presto_net::LossProcess;
@@ -28,7 +30,6 @@ use presto_sim::metrics::Summary;
 use presto_sim::{SimDuration, SimTime};
 use presto_telemetry::scope::WD_STALE_CONFIDENT;
 use presto_telemetry::{CompletionCause, ScopeConfig, SeriesSpec, WatchdogRule};
-use serde::Serialize;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -82,74 +83,85 @@ impl SliceScenarioConfig {
     }
 }
 
-/// One arm's results.
-#[derive(Clone, Debug, Serialize)]
-pub struct SliceArmReport {
-    /// Queries emitted by the workload.
-    pub submitted: u64,
-    /// Terminals observed (must equal `submitted`).
-    pub completed: u64,
-    /// Terminals with a real (non-Failed) answer.
-    pub answered_ok: u64,
-    /// Honest failures.
-    pub failed: u64,
-    /// Completions that never touched the radio (fast paths + caches).
-    pub completed_cached: u64,
-    /// PAST submissions that took the sliced path.
-    pub sliced: u64,
-    /// Pull RPCs issued (slice sub-pulls included).
-    pub rpcs_issued: u64,
-    /// Archive-range cache hit rate: slice-tier lookups when slicing
-    /// is on, reply-cache lookups otherwise.
-    pub cache_hit_rate: f64,
-    /// Slice-tier counters (all zero in the monolithic arm).
-    pub slice_lookups: u64,
-    /// L1 (RAM-tier) hits.
-    pub slice_l1_hits: u64,
-    /// L2 (spill-tier) hits, each promoting back to L1.
-    pub slice_l2_hits: u64,
-    /// L2→L1 promotions.
-    pub slice_promotions: u64,
-    /// Ok answers contradicted by their own window (must be 0).
-    pub stale_confident: u64,
-    /// Real answers missing the serve-time age stamp (must be 0).
-    pub answer_age_missing: u64,
-    /// Real answers carrying the age stamp.
-    pub answer_age_count: u64,
-    /// Answer-age p50, seconds.
-    pub answer_age_p50_s: f64,
-    /// Answered-query throughput over the phase, queries/hour.
-    pub throughput_qph: f64,
-    /// Terminal-latency percentiles, seconds (failures included).
-    pub p50_s: f64,
-    /// p90.
-    pub p90_s: f64,
-    /// p99.
-    pub p99_s: f64,
-    /// Finished query traces collected.
-    pub trace_terminals: u64,
-    /// Traces with ≠1 terminal or non-monotone timestamps (must be 0).
-    pub trace_bad: u64,
-    /// Open trace logs after the drain window (must be 0).
-    pub trace_orphans: u64,
-    /// Leak probes after the drain window (both must be zero).
-    pub leaked_pending: u64,
-    /// Leaked pending-RPC table entries.
-    pub leaked_rpcs: u64,
-    /// The flattened unified-telemetry snapshot.
-    pub metrics: Vec<(String, f64)>,
-    /// presto-scope epoch trajectories (the BENCH timeline section).
-    pub timeline: Vec<SeriesOut>,
-    /// Watchdog incident log (clean slice runs must keep this empty).
-    pub incidents: Vec<IncidentOut>,
-    /// Incidents no injected fault explains (must be zero).
-    pub incidents_unattributed: u64,
+crate::json_row! {
+    /// One arm's results.
+    #[derive(Clone, Debug)]
+    pub struct SliceArmReport {
+        /// Queries emitted by the workload.
+        pub submitted: u64,
+        /// Terminals observed (must equal `submitted`).
+        pub completed: u64,
+        /// Terminals with a real (non-Failed) answer.
+        pub answered_ok: u64,
+        /// Honest failures.
+        pub failed: u64,
+        /// Completions that never touched the radio (fast paths + caches).
+        pub completed_cached: u64,
+        /// PAST submissions that took the sliced path.
+        pub sliced: u64,
+        /// Pull RPCs issued (slice sub-pulls included).
+        pub rpcs_issued: u64,
+        /// Archive-range cache hit rate: slice-tier lookups when slicing
+        /// is on, reply-cache lookups otherwise.
+        pub cache_hit_rate: f64,
+        /// Slice-tier counters (all zero in the monolithic arm).
+        pub slice_lookups: u64,
+        /// L1 (RAM-tier) hits.
+        pub slice_l1_hits: u64,
+        /// L2 (spill-tier) hits, each promoting back to L1.
+        pub slice_l2_hits: u64,
+        /// L2→L1 promotions.
+        pub slice_promotions: u64,
+        /// Ok answers contradicted by their own window (must be 0).
+        pub stale_confident: u64,
+        /// Real answers missing the serve-time age stamp (must be 0).
+        pub answer_age_missing: u64,
+        /// Real answers carrying the age stamp.
+        pub answer_age_count: u64,
+        /// Answer-age p50, seconds.
+        pub answer_age_p50_s: f64,
+        /// Answered-query throughput over the phase, queries/hour.
+        pub throughput_qph: f64,
+        /// Terminal-latency percentiles, seconds (failures included).
+        pub p50_s: f64,
+        /// p90.
+        pub p90_s: f64,
+        /// p99.
+        pub p99_s: f64,
+        /// Finished query traces collected.
+        pub trace_terminals: u64,
+        /// Traces with ≠1 terminal or non-monotone timestamps (must be 0).
+        pub trace_bad: u64,
+        /// Open trace logs after the drain window (must be 0).
+        pub trace_orphans: u64,
+        /// Downlink request retransmissions.
+        pub retransmits: Option<u64>,
+        /// Payload bytes the sensors offered to the MAC.
+        pub radio_bytes: Option<u64>,
+        /// Total sensor-tier energy, joules.
+        pub sensor_energy_j: f64,
+        /// Queries the fleet router shed (`fleet_router.shed`); `None`
+        /// here, where one proxy runs without a fleet router.
+        pub shed: Option<u64>,
+        /// Leak probes after the drain window (both must be zero).
+        pub leaked_pending: u64,
+        /// Leaked pending-RPC table entries.
+        pub leaked_rpcs: u64,
+        /// The flattened unified-telemetry snapshot.
+        pub metrics: Vec<(String, f64)>,
+        /// presto-scope epoch trajectories (the BENCH timeline section).
+        pub timeline: Vec<SeriesOut>,
+        /// Watchdog incident log (clean slice runs must keep this empty).
+        pub incidents: Vec<IncidentOut>,
+        /// Incidents no injected fault explains (must be zero).
+        pub incidents_unattributed: u64,
+    }
 }
 
 impl SliceArmReport {
     /// This arm's row in the shared benchmark artifact.
-    pub fn summarize(&self, arm: &str) -> crate::report::ArmSummary {
-        crate::report::ArmSummary {
+    pub fn summarize(&self, arm: &str) -> ArmSummary {
+        ArmSummary {
             arm: arm.to_string(),
             submitted: self.submitted,
             answered_ok: self.answered_ok,
@@ -158,34 +170,40 @@ impl SliceArmReport {
             latency_p50_s: self.p50_s,
             latency_p90_s: self.p90_s,
             latency_p99_s: self.p99_s,
-            answer_age_count: self.answer_age_count,
-            answer_age_missing: self.answer_age_missing,
-            answer_age_p50_s: self.answer_age_p50_s,
-            cache_hit_rate: self.cache_hit_rate,
-            stale_confident: self.stale_confident,
-            trace_terminals: self.trace_terminals,
-            trace_bad: self.trace_bad,
-            trace_orphans: self.trace_orphans,
-            ..crate::report::ArmSummary::default()
+            answer_age_count: Some(self.answer_age_count),
+            answer_age_missing: Some(self.answer_age_missing),
+            answer_age_p50_s: Some(self.answer_age_p50_s),
+            shed: self.shed,
+            rehomed: None,
+            retransmits: self.retransmits,
+            radio_bytes: self.radio_bytes,
+            sensor_energy_j: Some(self.sensor_energy_j),
+            cache_hit_rate: Some(self.cache_hit_rate),
+            stale_confident: Some(self.stale_confident),
+            trace_terminals: Some(self.trace_terminals),
+            trace_bad: Some(self.trace_bad),
+            trace_orphans: Some(self.trace_orphans),
         }
     }
 }
 
-/// Scenario result: both arms plus the headline comparisons.
-#[derive(Clone, Debug, Serialize)]
-pub struct SliceScenarioReport {
-    /// Configured downlink loss.
-    pub configured_loss: f64,
-    /// Sliced execution on.
-    pub sliced: SliceArmReport,
-    /// Same seed, slicing off.
-    pub monolithic: SliceArmReport,
-    /// `sliced.throughput / monolithic.throughput` (must be ≥ 1: slice
-    /// reuse cannot cost answered throughput).
-    pub throughput_ratio: f64,
-    /// `sliced.cache_hit_rate - monolithic.cache_hit_rate` (must be
-    /// positive: slice sharing absorbs reads exact-match never could).
-    pub hit_rate_gain: f64,
+crate::json_row! {
+    /// Scenario result: both arms plus the headline comparisons.
+    #[derive(Clone, Debug)]
+    pub struct SliceScenarioReport {
+        /// Configured downlink loss.
+        pub configured_loss: f64,
+        /// Sliced execution on.
+        pub sliced: SliceArmReport,
+        /// Same seed, slicing off.
+        pub monolithic: SliceArmReport,
+        /// `sliced.throughput / monolithic.throughput` (must be ≥ 1: slice
+        /// reuse cannot cost answered throughput).
+        pub throughput_ratio: f64,
+        /// `sliced.cache_hit_rate - monolithic.cache_hit_rate` (must be
+        /// positive: slice sharing absorbs reads exact-match never could).
+        pub hit_rate_gain: f64,
+    }
 }
 
 /// Deterministic splitmix64 step, the workload's only randomness.
@@ -359,6 +377,7 @@ fn run_arm(cfg: &SliceScenarioConfig, sliced: bool) -> SliceArmReport {
         }
     };
     let snap = sys.telemetry_snapshot();
+    let cost = arm_cost(&snap, &sys.sensor_ledger_total());
     SliceArmReport {
         submitted,
         completed,
@@ -383,6 +402,10 @@ fn run_arm(cfg: &SliceScenarioConfig, sliced: bool) -> SliceArmReport {
         trace_terminals,
         trace_bad,
         trace_orphans: sys.proxies[0].pipeline().tracer().open_count() as u64,
+        retransmits: cost.retransmits,
+        radio_bytes: cost.radio_bytes,
+        sensor_energy_j: cost.sensor_energy_j,
+        shed: cost.shed,
         leaked_pending: sys.pipeline_pending_total() as u64,
         leaked_rpcs: sys.async_in_flight_total() as u64,
         metrics: snap.flatten(),
@@ -441,7 +464,38 @@ mod tests {
                     || s.path == "pipeline.rpcs_issued"),
                 "({label}) timeline missing the work-rate series"
             );
+            assert!(
+                arm.timeline.iter().all(|s| !s.points.is_empty()),
+                "({label}) scope series with no points"
+            );
+            let metric = |key: &str| arm.metrics.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
+            assert_eq!(
+                arm.radio_bytes.map(|b| b as f64),
+                metric("sensor.bytes_sent"),
+                "({label}) radio bytes must be the snapshot's sensor.bytes_sent"
+            );
+            assert!(
+                arm.radio_bytes.is_some_and(|b| b > 0),
+                "({label}) no radio bytes measured"
+            );
+            assert!(arm.sensor_energy_j > 0.0, "({label}) no sensor energy measured");
+            assert_eq!(arm.shed, None, "({label}) a single proxy sheds nothing");
         }
+        // The slice tiers' own counters in the exported snapshot: live,
+        // and every lookup ends in exactly one of L1 hit, L2 hit or miss.
+        let metric = |key: &str| {
+            r.sliced
+                .metrics
+                .iter()
+                .find(|(k, _)| k == key)
+                .map_or(0.0, |(_, v)| *v)
+        };
+        assert!(metric("slice.lookups") > 0.0, "slice-tier counters absent");
+        assert_eq!(
+            metric("slice.lookups"),
+            metric("slice.l1_hits") + metric("slice.l2_hits") + metric("slice.misses"),
+            "slice tier accounting does not balance"
+        );
         assert!(r.sliced.sliced > 0, "hot windows must take the sliced path");
         assert!(
             r.sliced.slice_l1_hits + r.sliced.slice_l2_hits <= r.sliced.slice_lookups,

@@ -7,29 +7,30 @@
 
 use presto_baselines::{direct, driver::render_table, stream, valuepush, ArchReport, DriverConfig};
 use presto_core::run_presto;
-use serde::Serialize;
 
-/// Serializable row mirror of [`ArchReport`].
-#[derive(Clone, Debug, Serialize)]
-pub struct Table1Row {
-    /// Architecture label.
-    pub architecture: String,
-    /// Joules per sensor per day.
-    pub energy_j_per_day: f64,
-    /// Radio joules per sensor per day.
-    pub radio_j_per_day: f64,
-    /// Mean NOW latency, ms.
-    pub now_latency_ms: f64,
-    /// p95 NOW latency, ms.
-    pub now_latency_p95_ms: f64,
-    /// Mean NOW error.
-    pub now_error: f64,
-    /// Fraction of PAST queries answered.
-    pub past_answered: f64,
-    /// Supports PAST queries at all.
-    pub supports_past: bool,
-    /// Uses prediction.
-    pub uses_prediction: bool,
+crate::json_row! {
+    /// Serializable row mirror of [`ArchReport`].
+    #[derive(Clone, Debug)]
+    pub struct Table1Row {
+        /// Architecture label.
+        pub architecture: String,
+        /// Joules per sensor per day.
+        pub energy_j_per_day: f64,
+        /// Radio joules per sensor per day.
+        pub radio_j_per_day: f64,
+        /// Mean NOW latency, ms.
+        pub now_latency_ms: f64,
+        /// p95 NOW latency, ms.
+        pub now_latency_p95_ms: f64,
+        /// Mean NOW error.
+        pub now_error: f64,
+        /// Fraction of PAST queries answered.
+        pub past_answered: f64,
+        /// Supports PAST queries at all.
+        pub supports_past: bool,
+        /// Uses prediction.
+        pub uses_prediction: bool,
+    }
 }
 
 impl From<&ArchReport> for Table1Row {
