@@ -8,22 +8,64 @@
 //! networks" (paper §1) — this arm measures exactly that trade.
 
 use presto_proxy::{PrestoProxy, ProxyConfig};
-use presto_sensor::{DownlinkMsg, PushPolicy, UplinkPayload};
-use presto_sim::{SimDuration, SimTime};
-use presto_workloads::{QueryTarget, TimeScope};
+use presto_reliability::DownlinkChannel;
+use presto_sensor::{DownlinkMsg, PushPolicy, SensorNode, UplinkPayload};
+use presto_sim::SimDuration;
+use presto_workloads::{QuerySpec, TimeScope};
 
-use crate::driver::{build, ArchReport, DriverConfig, ReportBuilder};
+use crate::driver::{self, ArchReport, Arm, DriverConfig, Served};
 
 /// LPL check interval for direct-query motes: long, because the radio is
 /// their dominant drain and no push traffic exists.
 const DIRECT_LPL: SimDuration = SimDuration::from_secs(2);
 
+/// The direct arm: a thin proxy exists only as the querying sink — its
+/// cache is never consulted; its fabric-routed `rpc` is reused for the
+/// energy-metered, lossy downlink path.
+struct Direct {
+    sink: PrestoProxy,
+    next_query_id: u64,
+    /// A NOW query pulls the last three epochs.
+    epoch: SimDuration,
+}
+
+impl Arm for Direct {
+    fn serve(
+        &mut self,
+        q: &QuerySpec,
+        node: &mut SensorNode,
+        chan: &mut DownlinkChannel,
+    ) -> Served {
+        let (from, to) = match q.scope {
+            TimeScope::Now => (q.arrival - self.epoch * 3, q.arrival),
+            TimeScope::Past { from, to } => (from, to),
+        };
+        let msg = DownlinkMsg::PullRequest {
+            query_id: self.next_query_id,
+            from,
+            to,
+            tolerance: q.tolerance,
+        };
+        self.next_query_id += 1;
+        let out = self.sink.rpc(q.arrival, &msg, node, chan);
+        let samples = match out.reply.map(|r| r.payload) {
+            Some(UplinkPayload::PullReply { samples, .. }) => samples,
+            _ => Vec::new(),
+        };
+        match q.scope {
+            TimeScope::Now => Served::Now {
+                latency_ms: out.latency.as_millis_f64(),
+                value: samples.last().map(|s| s.value),
+            },
+            TimeScope::Past { .. } => Served::Past {
+                answered: !samples.is_empty(),
+            },
+        }
+    }
+}
+
 /// Runs the direct-querying architecture.
 pub fn run(cfg: &DriverConfig) -> ArchReport {
-    let mut dep = build(cfg, PushPolicy::Silent, DIRECT_LPL);
-    // A thin proxy exists only as the querying sink — its cache is never
-    // consulted; its fabric-routed `rpc` is reused for the energy-
-    // metered, lossy downlink path.
     let mut sink = PrestoProxy::new(ProxyConfig {
         sensor_lpl: DIRECT_LPL,
         ..ProxyConfig::default()
@@ -31,90 +73,13 @@ pub fn run(cfg: &DriverConfig) -> ArchReport {
     for i in 0..cfg.sensors {
         sink.register_sensor(i as u16);
     }
-
-    let mut rb = ReportBuilder::default();
-    let epochs = SimDuration::from_days(cfg.days).div_duration(dep.epoch);
-    let mut qi = 0usize;
-    let mut truth_now = vec![0.0f64; cfg.sensors];
-    let mut next_query_id = 1u64;
-
-    for e in 0..epochs {
-        let t = SimTime::ZERO + dep.epoch * e;
-        let readings = dep.lab.step();
-        for (s, r) in readings.iter().enumerate() {
-            truth_now[s] = r.value;
-            dep.nodes[s].on_sample(r.timestamp, r.value, None);
-        }
-        // Serve queries that arrived during this epoch.
-        while qi < dep.queries.len() && dep.queries[qi].arrival <= t + dep.epoch {
-            let q = dep.queries[qi];
-            qi += 1;
-            let sensor = match q.target {
-                QueryTarget::Sensor(s) => s.min(cfg.sensors - 1),
-                QueryTarget::ProxyGroup(_) => 0,
-            };
-            match q.scope {
-                TimeScope::Now => {
-                    let msg = DownlinkMsg::PullRequest {
-                        query_id: next_query_id,
-                        from: q.arrival - dep.epoch * 3,
-                        to: q.arrival,
-                        tolerance: q.tolerance,
-                    };
-                    next_query_id += 1;
-                    let out = sink.rpc(
-                        q.arrival,
-                        &msg,
-                        &mut dep.nodes[sensor],
-                        &mut dep.downlinks[sensor],
-                    );
-                    rb.now_latency_ms.record(out.latency.as_millis_f64());
-                    if let Some(r) = out.reply {
-                        if let UplinkPayload::PullReply { samples, .. } = &r.payload {
-                            if let Some(last) = samples.last() {
-                                rb.now_error.record((last.value - truth_now[sensor]).abs());
-                            }
-                        }
-                    }
-                }
-                TimeScope::Past { from, to } => {
-                    rb.past_total += 1;
-                    let msg = DownlinkMsg::PullRequest {
-                        query_id: next_query_id,
-                        from,
-                        to,
-                        tolerance: q.tolerance,
-                    };
-                    next_query_id += 1;
-                    let out = sink.rpc(
-                        q.arrival,
-                        &msg,
-                        &mut dep.nodes[sensor],
-                        &mut dep.downlinks[sensor],
-                    );
-                    if let Some(r) = out.reply {
-                        if let UplinkPayload::PullReply { samples, .. } = &r.payload {
-                            if !samples.is_empty() {
-                                rb.past_answered += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Charge trailing idle listening.
-    let end = SimTime::ZERO + dep.epoch * epochs;
-    for n in &mut dep.nodes {
-        n.advance_to(end);
-    }
-    rb.finish(
-        "direct-query (Diffusion)",
-        &dep.nodes,
-        cfg.days,
-        true,
-        false,
-    )
+    let mut arm = Direct {
+        sink,
+        next_query_id: 1,
+        epoch: cfg.lab.epoch,
+    };
+    let (rb, nodes) = driver::run(cfg, PushPolicy::Silent, DIRECT_LPL, &mut arm);
+    rb.finish("direct-query (Diffusion)", &nodes, cfg.days, true, false)
 }
 
 #[cfg(test)]

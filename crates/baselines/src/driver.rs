@@ -2,15 +2,20 @@
 //!
 //! Every arm — the three baselines here and PRESTO in `presto-core` —
 //! runs the same Intel-Lab-style workload and the same Poisson query
-//! stream, and reports the same [`ArchReport`] row, so the regenerated
-//! Table 1 compares like with like.
+//! stream through one epoch loop, [`run`], and reports the same
+//! [`ArchReport`] row, so the regenerated Table 1 compares like with
+//! like. An arm supplies only its [`Arm`] hooks: what it does with
+//! uplinks, its per-epoch work, and its answer to one query.
 
 use presto_net::{LinkModel, LossProcess};
+use presto_proxy::{PipelineAnswer, PipelineQuery, PrestoProxy};
 use presto_reliability::DownlinkChannel;
-use presto_sensor::{PushPolicy, SensorConfig, SensorNode};
+use presto_sensor::{PushPolicy, SensorConfig, SensorNode, UplinkMsg};
 use presto_sim::metrics::Summary;
 use presto_sim::{SimDuration, SimRng, SimTime};
-use presto_workloads::{LabDeployment, LabParams, QueryGen, QueryParams, QuerySpec};
+use presto_workloads::{
+    LabDeployment, LabParams, QueryGen, QueryParams, QuerySpec, QueryTarget, TimeScope,
+};
 
 /// Configuration shared by every architecture arm.
 #[derive(Clone, Debug)]
@@ -78,8 +83,8 @@ pub struct ArchReport {
 }
 
 /// A built deployment: nodes, their downlink links, the workload, and
-/// the query stream (merged and time-sorted against epochs by callers).
-pub struct Deployment {
+/// the query stream (merged against epochs by [`run`]).
+struct Deployment {
     /// Sensor nodes.
     pub nodes: Vec<SensorNode>,
     /// Per-sensor downlink channels (fabric-routed proxy→sensor path).
@@ -88,14 +93,12 @@ pub struct Deployment {
     pub lab: LabDeployment,
     /// The query stream, time-ordered.
     pub queries: Vec<QuerySpec>,
-    /// Ground truth: `truth[epoch][sensor]`.
-    pub truth: Vec<Vec<f64>>,
     /// Epoch length.
     pub epoch: SimDuration,
 }
 
 /// Builds a deployment with the given push policy applied to every node.
-pub fn build(cfg: &DriverConfig, push: PushPolicy, lpl: SimDuration) -> Deployment {
+fn build(cfg: &DriverConfig, push: PushPolicy, lpl: SimDuration) -> Deployment {
     let lab = LabDeployment::new(
         LabParams {
             sensors: cfg.sensors,
@@ -146,7 +149,6 @@ pub fn build(cfg: &DriverConfig, push: PushPolicy, lpl: SimDuration) -> Deployme
         downlinks,
         lab,
         queries,
-        truth: Vec::new(),
         epoch,
     }
 }
@@ -196,6 +198,140 @@ impl ReportBuilder {
             uses_prediction,
         }
     }
+}
+
+/// What an arm's answer to one query contributes to the report.
+pub enum Served {
+    /// A NOW answer.
+    Now {
+        /// Its latency, ms.
+        latency_ms: f64,
+        /// Its value, scored against ground truth; `None` when nothing
+        /// came back.
+        value: Option<f64>,
+    },
+    /// A PAST answer.
+    Past {
+        /// True when it carried at least one sample.
+        answered: bool,
+    },
+}
+
+/// One architecture's part in the shared epoch loop of [`run`].
+pub trait Arm {
+    /// Consumes one uplink message a sensor's sample produced. By
+    /// default nothing listens.
+    fn feed(&mut self, _msg: &UplinkMsg) {}
+
+    /// Per-epoch work after the epoch's samples are fed.
+    fn epoch(
+        &mut self,
+        _e: u64,
+        _t: SimTime,
+        _nodes: &mut [SensorNode],
+        _chans: &mut [DownlinkChannel],
+    ) {
+    }
+
+    /// Answers one query against the sensor `node`, reached over `chan`.
+    fn serve(&mut self, q: &QuerySpec, node: &mut SensorNode, chan: &mut DownlinkChannel)
+        -> Served;
+}
+
+/// A proxy answers by its synchronous cache → extrapolation → pull
+/// path; the streaming arm is exactly this, and PRESTO adds training.
+impl Arm for PrestoProxy {
+    fn feed(&mut self, msg: &UplinkMsg) {
+        self.on_uplink(msg);
+    }
+
+    fn serve(
+        &mut self,
+        q: &QuerySpec,
+        node: &mut SensorNode,
+        chan: &mut DownlinkChannel,
+    ) -> Served {
+        let sensor = node.id();
+        let query = match q.scope {
+            TimeScope::Now => PipelineQuery::Now {
+                sensor,
+                tolerance: q.tolerance,
+            },
+            TimeScope::Past { from, to } => PipelineQuery::Past {
+                sensor,
+                from,
+                to,
+                tolerance: q.tolerance,
+            },
+        };
+        match self.answer(q.arrival, query, node, chan) {
+            PipelineAnswer::Scalar(a) => Served::Now {
+                latency_ms: a.latency.as_millis_f64(),
+                value: Some(a.value),
+            },
+            PipelineAnswer::Series(a) => Served::Past {
+                answered: !a.samples.is_empty(),
+            },
+        }
+    }
+}
+
+/// Runs one arm over the deployment built with `push` and `lpl`. Each
+/// epoch steps the workload and feeds every sample's uplinks to the
+/// arm, runs the arm's per-epoch work, then serves the queries that
+/// arrived by the epoch's end; finally the nodes are advanced to the
+/// horizon so trailing idle listening is charged. Returns the
+/// accumulated measurements and the nodes whose ledgers close the row.
+pub fn run(
+    cfg: &DriverConfig,
+    push: PushPolicy,
+    lpl: SimDuration,
+    arm: &mut impl Arm,
+) -> (ReportBuilder, Vec<SensorNode>) {
+    let mut dep = build(cfg, push, lpl);
+    let mut rb = ReportBuilder::default();
+    let epochs = SimDuration::from_days(cfg.days).div_duration(dep.epoch);
+    let mut qi = 0usize;
+    let mut truth_now = vec![0.0f64; cfg.sensors];
+
+    for e in 0..epochs {
+        let t = SimTime::ZERO + dep.epoch * e;
+        let readings = dep.lab.step();
+        for (s, r) in readings.iter().enumerate() {
+            truth_now[s] = r.value;
+            for msg in dep.nodes[s].on_sample(r.timestamp, r.value, None) {
+                arm.feed(&msg);
+            }
+        }
+        arm.epoch(e, t, &mut dep.nodes, &mut dep.downlinks);
+        while qi < dep.queries.len() && dep.queries[qi].arrival <= t + dep.epoch {
+            let q = dep.queries[qi];
+            qi += 1;
+            let sensor = match q.target {
+                QueryTarget::Sensor(s) => s.min(cfg.sensors - 1),
+                QueryTarget::ProxyGroup(_) => 0,
+            };
+            match arm.serve(&q, &mut dep.nodes[sensor], &mut dep.downlinks[sensor]) {
+                Served::Now { latency_ms, value } => {
+                    rb.now_latency_ms.record(latency_ms);
+                    if let Some(v) = value {
+                        rb.now_error.record((v - truth_now[sensor]).abs());
+                    }
+                }
+                Served::Past { answered } => {
+                    rb.past_total += 1;
+                    if answered {
+                        rb.past_answered += 1;
+                    }
+                }
+            }
+        }
+    }
+    let end = SimTime::ZERO + dep.epoch * epochs;
+    for n in &mut dep.nodes {
+        n.advance_to(end);
+    }
+    (rb, dep.nodes)
 }
 
 /// Renders a collection of reports as the Table 1 text block.

@@ -8,20 +8,48 @@
 
 use presto_net::LinkModel;
 use presto_proxy::{PrestoProxy, ProxyConfig};
+use presto_reliability::DownlinkChannel;
 use presto_sensor::{PushPolicy, SensorConfig, SensorNode, UplinkMsg};
-use presto_sim::{SimDuration, SimTime};
+use presto_sim::SimDuration;
 use presto_workloads::lab::LabReading;
-use presto_workloads::{QueryTarget, TimeScope};
+use presto_workloads::{QuerySpec, TimeScope};
 
-use crate::driver::{build, ArchReport, DriverConfig, ReportBuilder};
+use crate::driver::{self, ArchReport, Arm, DriverConfig, Served};
+
+/// The value-push arm: a proxy that caches every push and answers only
+/// from that cache.
+struct ValuePush(PrestoProxy);
+
+impl Arm for ValuePush {
+    fn feed(&mut self, msg: &UplinkMsg) {
+        self.0.on_uplink(msg);
+    }
+
+    fn serve(
+        &mut self,
+        q: &QuerySpec,
+        node: &mut SensorNode,
+        _chan: &mut DownlinkChannel,
+    ) -> Served {
+        let cache = self.0.cache(node.id()).expect("registered");
+        match q.scope {
+            // Answer: the last pushed value; within Δ by design.
+            TimeScope::Now => Served::Now {
+                latency_ms: 1.0,
+                value: cache.latest().map(|s| s.value),
+            },
+            // Only incidentally pushed values cover the range; a push
+            // at-or-before the range also bounds it (the value did not
+            // move more than Δ since).
+            TimeScope::Past { to, .. } => Served::Past {
+                answered: cache.latest_at(to).is_some(),
+            },
+        }
+    }
+}
 
 /// Runs the value-driven architecture for Table 1.
 pub fn run(cfg: &DriverConfig, delta: f64) -> ArchReport {
-    let mut dep = build(
-        cfg,
-        PushPolicy::ValueDriven { delta },
-        SimDuration::from_secs(1),
-    );
     let mut proxy = PrestoProxy::new(ProxyConfig {
         engine: presto_proxy::EngineConfig {
             min_history: usize::MAX,
@@ -32,57 +60,11 @@ pub fn run(cfg: &DriverConfig, delta: f64) -> ArchReport {
     for i in 0..cfg.sensors {
         proxy.register_sensor(i as u16);
     }
-
-    let mut rb = ReportBuilder::default();
-    let epochs = SimDuration::from_days(cfg.days).div_duration(dep.epoch);
-    let mut qi = 0usize;
-    let mut truth_now = vec![0.0f64; cfg.sensors];
-
-    for e in 0..epochs {
-        let t = SimTime::ZERO + dep.epoch * e;
-        let readings = dep.lab.step();
-        for (s, r) in readings.iter().enumerate() {
-            truth_now[s] = r.value;
-            for msg in dep.nodes[s].on_sample(r.timestamp, r.value, None) {
-                proxy.on_uplink(&msg);
-            }
-        }
-        while qi < dep.queries.len() && dep.queries[qi].arrival <= t + dep.epoch {
-            let q = dep.queries[qi];
-            qi += 1;
-            let sensor = match q.target {
-                QueryTarget::Sensor(s) => (s.min(cfg.sensors - 1)) as u16,
-                QueryTarget::ProxyGroup(_) => 0,
-            };
-            let cache = proxy.cache(sensor).expect("registered");
-            match q.scope {
-                TimeScope::Now => {
-                    // Answer: the last pushed value; within Δ by design.
-                    if let Some(s) = cache.latest() {
-                        rb.now_error
-                            .record((s.value - truth_now[sensor as usize]).abs());
-                    }
-                    rb.now_latency_ms.record(1.0);
-                }
-                TimeScope::Past { from: _, to } => {
-                    rb.past_total += 1;
-                    // Only incidentally pushed values cover the range; a
-                    // push at-or-before the range also bounds it (the
-                    // value did not move more than Δ since).
-                    if cache.latest_at(to).is_some() {
-                        rb.past_answered += 1;
-                    }
-                }
-            }
-        }
-    }
-    let end = SimTime::ZERO + dep.epoch * epochs;
-    for n in &mut dep.nodes {
-        n.advance_to(end);
-    }
+    let push = PushPolicy::ValueDriven { delta };
+    let (rb, nodes) = driver::run(cfg, push, SimDuration::from_secs(1), &mut ValuePush(proxy));
     rb.finish(
         &format!("value-push (delta={delta})"),
-        &dep.nodes,
+        &nodes,
         cfg.days,
         false,
         false,

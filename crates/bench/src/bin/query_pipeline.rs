@@ -11,9 +11,7 @@
 
 use presto_bench::experiments::render_json;
 use presto_bench::query_pipeline::{query_pipeline, QueryPipelineConfig};
-use presto_bench::report::{
-    exit_on_failures, render_summary, write_bench_json, ArmSummary, BenchJson,
-};
+use presto_bench::report::{exit_on_failures, render_summary, write_bench_json, BenchJson};
 
 fn main() {
     let arg = std::env::args().nth(1);
@@ -44,30 +42,7 @@ fn main() {
     let bench = BenchJson {
         scenario: "query_pipeline".into(),
         throughput_ratio: r.speedup,
-        arms: vec![
-            ArmSummary {
-                arm: "pipeline".into(),
-                submitted: r.submitted,
-                answered_ok: r.answered_ok,
-                failed: r.failed,
-                queries_per_sec: r.pipeline_throughput_qph / 3600.0,
-                latency_p50_s: r.pipeline_latency.p50_s,
-                latency_p90_s: r.pipeline_latency.p90_s,
-                latency_p99_s: r.pipeline_latency.p99_s,
-                ..ArmSummary::default()
-            },
-            ArmSummary {
-                arm: "serialized-baseline".into(),
-                submitted: r.submitted,
-                answered_ok: r.baseline_ok,
-                failed: r.baseline_served - r.baseline_ok,
-                queries_per_sec: r.baseline_throughput_qph / 3600.0,
-                latency_p50_s: r.baseline_latency.p50_s,
-                latency_p90_s: r.baseline_latency.p90_s,
-                latency_p99_s: r.baseline_latency.p99_s,
-                ..ArmSummary::default()
-            },
-        ],
+        arms: r.arms(),
         metrics: Vec::new(),
         ..BenchJson::default()
     };

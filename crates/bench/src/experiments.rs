@@ -11,7 +11,9 @@ use presto_models::{
 };
 use presto_net::LinkModel;
 use presto_reliability::DownlinkChannel;
-use presto_proxy::{AnswerSource, PrestoProxy, ProxyConfig, QueryClass, QuerySensorMatcher};
+use presto_proxy::{
+    AnswerSource, PipelineQuery, PrestoProxy, ProxyConfig, QueryClass, QuerySensorMatcher,
+};
 use presto_sensor::{DownlinkMsg, PushPolicy, SensorConfig, SensorNode, UplinkPayload};
 use presto_sim::metrics::Summary;
 use presto_sim::{EnergyLedger, SimDuration, SimRng, SimTime};
@@ -250,7 +252,16 @@ pub fn e2_latency(days: u64, seed: u64) -> Vec<E2Row> {
             }
             // ~1 query per 20 epochs at a random offset.
             if rng.chance(0.05) && i > trace.len() / 4 {
-                let a = proxy.answer_now(r.timestamp, 0, tolerance, &mut node, &mut link);
+                let query = PipelineQuery::Now {
+                    sensor: 0,
+                    tolerance,
+                };
+                let Some(a) = proxy
+                    .answer(r.timestamp, query, &mut node, &mut link)
+                    .into_scalar()
+                else {
+                    continue;
+                };
                 total += 1;
                 match a.source {
                     AnswerSource::CacheHit => hits += 1,

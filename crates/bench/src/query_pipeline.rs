@@ -28,6 +28,8 @@ use presto_proxy::AnswerSource;
 use presto_sim::metrics::Summary;
 use presto_sim::{QueryArrival, QueryKind, QueryLoad, QueryLoadConfig, SimDuration, SimTime};
 
+use crate::report::ArmSummary;
+
 /// Experiment parameters.
 #[derive(Clone, Debug)]
 pub struct QueryPipelineConfig {
@@ -154,6 +156,39 @@ crate::json_row! {
         pub baseline_latency: LatencyProfile,
         /// `pipeline_throughput_qph / baseline_throughput_qph`.
         pub speedup: f64,
+    }
+}
+
+impl QueryPipelineReport {
+    /// Both arms' rows in the shared benchmark artifact. The pipeline
+    /// drains every query; the serialized baseline can end its phase
+    /// with arrivals still queued, reported as `unserved`.
+    pub fn arms(&self) -> Vec<ArmSummary> {
+        vec![
+            ArmSummary {
+                arm: "pipeline".into(),
+                submitted: self.submitted,
+                answered_ok: self.answered_ok,
+                failed: self.failed,
+                queries_per_sec: self.pipeline_throughput_qph / 3600.0,
+                latency_p50_s: self.pipeline_latency.p50_s,
+                latency_p90_s: self.pipeline_latency.p90_s,
+                latency_p99_s: self.pipeline_latency.p99_s,
+                ..ArmSummary::default()
+            },
+            ArmSummary {
+                arm: "serialized-baseline".into(),
+                submitted: self.submitted,
+                answered_ok: self.baseline_ok,
+                failed: self.baseline_served - self.baseline_ok,
+                unserved: Some(self.baseline_unserved),
+                queries_per_sec: self.baseline_throughput_qph / 3600.0,
+                latency_p50_s: self.baseline_latency.p50_s,
+                latency_p90_s: self.baseline_latency.p90_s,
+                latency_p99_s: self.baseline_latency.p99_s,
+                ..ArmSummary::default()
+            },
+        ]
     }
 }
 
@@ -356,5 +391,24 @@ mod tests {
             "pipeline must beat the serialized baseline: {r:?}"
         );
         assert!(r.coalesced > 0, "hot windows never coalesced: {r:?}");
+    }
+
+    #[test]
+    fn quick_arms_account_for_every_query() {
+        let r = query_pipeline(&QueryPipelineConfig::quick());
+        let arms = r.arms();
+        assert_eq!(arms.len(), 2);
+        for a in &arms {
+            assert_eq!(
+                a.answered_ok + a.failed + a.unserved.unwrap_or(0),
+                a.submitted,
+                "arm {} leaves queries unaccounted: {a:?}",
+                a.arm
+            );
+        }
+        // The serialized baseline cannot keep up, so its queue is
+        // measured, not folded into a silent zero.
+        assert!(arms[1].unserved.is_some_and(|n| n > 0), "{:?}", arms[1]);
+        assert_eq!(arms[0].unserved, None, "the pipeline drains");
     }
 }

@@ -46,6 +46,9 @@ crate::json_row! {
         pub answered_ok: u64,
         /// Honest failures.
         pub failed: u64,
+        /// Arrivals still queued when the phase ended, neither answered
+        /// nor failed; absent in scenarios that drain every query.
+        pub unserved: Option<u64>,
         /// Answered-query throughput, queries per second.
         pub queries_per_sec: f64,
         /// Terminal-latency percentiles, seconds (failures included).

@@ -166,6 +166,7 @@ impl SliceArmReport {
             submitted: self.submitted,
             answered_ok: self.answered_ok,
             failed: self.failed,
+            unserved: None,
             queries_per_sec: self.throughput_qph / 3600.0,
             latency_p50_s: self.p50_s,
             latency_p90_s: self.p90_s,

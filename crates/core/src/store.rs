@@ -6,7 +6,7 @@
 //! pipeline. Timestamps in PAST answers pass through the sensor's clock
 //! corrector so cross-proxy views are temporally consistent.
 
-use presto_proxy::AnswerSource;
+use presto_proxy::{AnswerSource, PipelineAnswer, PipelineQuery};
 use presto_reliability::Health;
 use presto_sim::{SimDuration, SimTime};
 
@@ -53,6 +53,41 @@ pub enum StoreQuery {
         /// The operator.
         op: presto_sensor::AggregateOp,
     },
+}
+
+/// The single-sensor queries are the pipeline's own; a deployment-wide
+/// Events query has no single owning proxy and converts to its window.
+impl TryFrom<StoreQuery> for PipelineQuery {
+    type Error = (SimTime, SimTime);
+
+    fn try_from(q: StoreQuery) -> Result<Self, Self::Error> {
+        Ok(match q {
+            StoreQuery::Now { sensor, tolerance } => PipelineQuery::Now { sensor, tolerance },
+            StoreQuery::Past {
+                sensor,
+                from,
+                to,
+                tolerance,
+            } => PipelineQuery::Past {
+                sensor,
+                from,
+                to,
+                tolerance,
+            },
+            StoreQuery::Aggregate {
+                sensor,
+                from,
+                to,
+                op,
+            } => PipelineQuery::Aggregate {
+                sensor,
+                from,
+                to,
+                op,
+            },
+            StoreQuery::Events { from, to } => return Err((from, to)),
+        })
+    }
 }
 
 /// A response from the unified store.
@@ -138,158 +173,125 @@ impl<'a> UnifiedStore<'a> {
 
     /// Executes a query at the system's current time.
     pub fn query(&mut self, q: StoreQuery) -> StoreResponse {
+        match PipelineQuery::try_from(q) {
+            Ok(pq) => self.sensor_query(pq),
+            Err((from, to)) => self.events_query(from, to),
+        }
+    }
+
+    /// Answers a single-sensor query through the owning proxy's
+    /// synchronous path, then corrects its timestamps and widens its
+    /// confidence bound for the reference-time, multi-proxy view.
+    fn sensor_query(&mut self, q: PipelineQuery) -> StoreResponse {
         let t = self.system.now();
-        match q {
-            StoreQuery::Now { sensor, tolerance } => {
-                let (proxy_idx, hops) = self.system.route(sensor);
-                let (p, _) = self.system.locate(sensor);
-                debug_assert_eq!(p, proxy_idx);
-                let a = {
-                    let (proxy, node, link) = Self::query_target(self.system, sensor, t);
-                    proxy.answer_now(t, sensor, tolerance, node, link)
-                };
-                StoreResponse {
-                    value: Some(a.value),
-                    series: Vec::new(),
-                    events: Vec::new(),
-                    source: a.source,
-                    sigma: Self::widened(self.system, sensor, a.source, a.sigma),
-                    health: self.system.health(sensor),
-                    latency: a.latency + self.hop_latency * hops,
-                    index_hops: hops,
-                }
-            }
-            StoreQuery::Past {
-                sensor,
-                from,
-                to,
-                tolerance,
-            } => {
-                let (proxy_idx, hops) = self.system.route(sensor);
-                let (p, _) = self.system.locate(sensor);
-                debug_assert_eq!(p, proxy_idx);
-                let a = {
-                    let (proxy, node, link) = Self::query_target(self.system, sensor, t);
-                    proxy.answer_past(t, sensor, from, to, tolerance, node, link)
-                };
+        let sensor = q.sensor();
+        let (proxy_idx, hops) = self.system.route(sensor);
+        let (p, _) = self.system.locate(sensor);
+        debug_assert_eq!(p, proxy_idx);
+        let answer = {
+            let (proxy, node, link) = Self::query_target(self.system, sensor, t);
+            proxy.answer(t, q, node, link)
+        };
+        let (value, series, source, sigma, latency) = match answer {
+            PipelineAnswer::Scalar(a) => (
+                Some(a.value),
+                Vec::new(),
+                a.source,
+                Self::widened(self.system, sensor, a.source, a.sigma),
+                a.latency,
+            ),
+            PipelineAnswer::Series(a) => {
                 // Correct timestamps back to reference time.
                 let corrector = &self.system.correctors[sensor as usize];
-                let series: Vec<(SimTime, f64)> = a
+                let series = a
                     .samples
                     .into_iter()
                     .map(|(ts, v)| (corrector.correct(ts), v))
                     .collect();
                 // A past series has no scalar sigma; extrapolated spans
                 // inherit the (widened) push-tolerance guarantee.
-                let sigma = if a.source == AnswerSource::Extrapolated {
-                    Self::widened(
+                let sigma = match a.source {
+                    AnswerSource::Extrapolated => Self::widened(
                         self.system,
                         sensor,
                         a.source,
                         self.system.config().push_tolerance,
-                    )
-                } else if a.source == AnswerSource::Failed {
-                    f64::INFINITY
-                } else {
-                    0.0
+                    ),
+                    AnswerSource::Failed => f64::INFINITY,
+                    _ => 0.0,
                 };
-                StoreResponse {
-                    value: None,
-                    series,
-                    events: Vec::new(),
-                    source: a.source,
-                    sigma,
-                    health: self.system.health(sensor),
-                    latency: a.latency + self.hop_latency * hops,
-                    index_hops: hops,
+                (None, series, a.source, sigma, a.latency)
+            }
+        };
+        StoreResponse {
+            value,
+            series,
+            events: Vec::new(),
+            source,
+            sigma,
+            health: self.system.health(sensor),
+            latency: latency + self.hop_latency * hops,
+            index_hops: hops,
+        }
+    }
+
+    /// Answers a deployment-wide Events query over `[from, to]`.
+    fn events_query(&mut self, from: SimTime, to: SimTime) -> StoreResponse {
+        // Route the range through the interval index first: proxies
+        // whose sensors archived nothing overlapping the window are
+        // pruned before their caches are consulted. The index is
+        // maintained incrementally by segment-seal notifications (and
+        // rebuilt after recovery replays), so no per-query rebuild
+        // happens here; spans still in an unsealed segment are covered
+        // by the cached-event-span check below. Spans are registered in
+        // corrected reference time, so the slack only needs to cover the
+        // correction residual plus the uncalibrated first hour (offsets
+        // of ~1 s sigma; skew accumulates < 0.2 s before the first
+        // beacon) — a minute is comfortably conservative.
+        let slack = SimDuration::from_secs(60);
+        let (mut candidates, route_hops) = self.system.route_range(from - slack, to + slack);
+        // Cached events are not guaranteed archive-backed (an append can
+        // fail while the push succeeds), so also visit any proxy whose
+        // cached-event span overlaps the padded window — an O(proxies)
+        // check that preserves the archive pruning.
+        for (p, proxy) in self.system.proxies.iter().enumerate() {
+            if candidates.contains(&p) {
+                continue;
+            }
+            if let Some((lo, hi)) = proxy.events_span() {
+                if lo <= to + slack && hi >= from - slack {
+                    candidates.push(p);
                 }
             }
-            StoreQuery::Events { from, to } => {
-                // Route the range through the interval index first:
-                // proxies whose sensors archived nothing overlapping the
-                // window are pruned before their caches are consulted.
-                // The index is maintained incrementally by segment-seal
-                // notifications (and rebuilt after recovery replays), so
-                // no per-query rebuild happens here; spans still in an
-                // unsealed segment are covered by the cached-event-span
-                // check below. Spans are registered in corrected
-                // reference time, so the slack only needs to cover the
-                // correction residual plus the uncalibrated first hour
-                // (offsets of ~1 s sigma; skew accumulates < 0.2 s
-                // before the first beacon) — a minute is comfortably
-                // conservative.
-                let slack = SimDuration::from_secs(60);
-                let (mut candidates, route_hops) =
-                    self.system.route_range(from - slack, to + slack);
-                // Cached events are not guaranteed archive-backed (an
-                // append can fail while the push succeeds), so also
-                // visit any proxy whose cached-event span overlaps the
-                // padded window — an O(proxies) check that preserves
-                // the archive pruning.
-                for (p, proxy) in self.system.proxies.iter().enumerate() {
-                    if candidates.contains(&p) {
-                        continue;
-                    }
-                    if let Some((lo, hi)) = proxy.events_span() {
-                        if lo <= to + slack && hi >= from - slack {
-                            candidates.push(p);
-                        }
-                    }
-                }
-                candidates.sort_unstable();
-                let mut events: Vec<(SimTime, u16, u16)> = Vec::new();
-                for &p in &candidates {
-                    // Binary-searched range read over the time-indexed
-                    // event cache (padded by the clock slack, since the
-                    // cache orders by uncorrected sensor time), then an
-                    // exact corrected-time filter.
-                    for e in self.system.proxies[p]
-                        .events()
-                        .range(from - slack, to + slack)
-                    {
-                        let corrected = self.system.correctors[e.sensor as usize].correct(e.t);
-                        if corrected >= from && corrected <= to {
-                            events.push((corrected, e.sensor, e.event_type));
-                        }
-                    }
-                }
-                events.sort();
-                let hops = route_hops + candidates.len() as u64;
-                StoreResponse {
-                    value: None,
-                    series: Vec::new(),
-                    events,
-                    source: AnswerSource::CacheHit,
-                    sigma: 0.0,
-                    health: Health::Live,
-                    latency: self.hop_latency * hops,
-                    index_hops: hops,
+        }
+        candidates.sort_unstable();
+        let mut events: Vec<(SimTime, u16, u16)> = Vec::new();
+        for &p in &candidates {
+            // Binary-searched range read over the time-indexed event
+            // cache (padded by the clock slack, since the cache orders
+            // by uncorrected sensor time), then an exact corrected-time
+            // filter.
+            for e in self.system.proxies[p]
+                .events()
+                .range(from - slack, to + slack)
+            {
+                let corrected = self.system.correctors[e.sensor as usize].correct(e.t);
+                if corrected >= from && corrected <= to {
+                    events.push((corrected, e.sensor, e.event_type));
                 }
             }
-            StoreQuery::Aggregate {
-                sensor,
-                from,
-                to,
-                op,
-            } => {
-                let (proxy_idx, hops) = self.system.route(sensor);
-                let (p, _) = self.system.locate(sensor);
-                debug_assert_eq!(p, proxy_idx);
-                let a = {
-                    let (proxy, node, link) = Self::query_target(self.system, sensor, t);
-                    proxy.answer_aggregate(t, sensor, from, to, op, node, link)
-                };
-                StoreResponse {
-                    value: Some(a.value),
-                    series: Vec::new(),
-                    events: Vec::new(),
-                    source: a.source,
-                    sigma: Self::widened(self.system, sensor, a.source, a.sigma),
-                    health: self.system.health(sensor),
-                    latency: a.latency + self.hop_latency * hops,
-                    index_hops: hops,
-                }
-            }
+        }
+        events.sort();
+        let hops = route_hops + candidates.len() as u64;
+        StoreResponse {
+            value: None,
+            series: Vec::new(),
+            events,
+            source: AnswerSource::CacheHit,
+            sigma: 0.0,
+            health: Health::Live,
+            latency: self.hop_latency * hops,
+            index_hops: hops,
         }
     }
 }

@@ -748,34 +748,7 @@ impl PrestoSystem {
     /// query nothing ever pumps or expires).
     pub fn submit_query(&mut self, q: crate::store::StoreQuery) -> Option<(usize, u64)> {
         let t = self.now();
-        let pq = match q {
-            crate::store::StoreQuery::Now { sensor, tolerance } => {
-                PipelineQuery::Now { sensor, tolerance }
-            }
-            crate::store::StoreQuery::Past {
-                sensor,
-                from,
-                to,
-                tolerance,
-            } => PipelineQuery::Past {
-                sensor,
-                from,
-                to,
-                tolerance,
-            },
-            crate::store::StoreQuery::Aggregate {
-                sensor,
-                from,
-                to,
-                op,
-            } => PipelineQuery::Aggregate {
-                sensor,
-                from,
-                to,
-                op,
-            },
-            crate::store::StoreQuery::Events { .. } => return None,
-        };
+        let pq = PipelineQuery::try_from(q).ok()?;
         let p = self.assignment[pq.sensor() as usize];
         if self.config.faults.proxy_down(p, t) {
             return None;

@@ -1,10 +1,11 @@
 //! The proxy-resident asynchronous query pipeline.
 //!
-//! The synchronous query path ([`crate::PrestoProxy::answer_now`] and
-//! friends) drives each pull's entire attempt/timeout schedule inside
-//! one blocking call, so a proxy serves exactly one precision-miss at a
-//! time. The pipeline replaces that with a queued design, the tethered
-//! tier the paper says "absorbs queries" for many users:
+//! The synchronous query path ([`crate::PrestoProxy::answer`]) drives
+//! each pull's entire attempt/timeout schedule inside one blocking
+//! call, so a proxy serves exactly one precision-miss at a time. The
+//! pipeline shares that path's admission, fast paths and answer
+//! constructors, but queues the radio work instead — the tethered tier
+//! the paper says "absorbs queries" for many users:
 //!
 //! * a query that misses the cache/model precision check enqueues a
 //!   [`PendingQuery`] (query id, sensor, window, deadline, retry state)
@@ -158,6 +159,22 @@ impl PipelineAnswer {
         match self {
             PipelineAnswer::Scalar(a) => a.source,
             PipelineAnswer::Series(a) => a.source,
+        }
+    }
+
+    /// The scalar answer (NOW, aggregate); `None` for a series.
+    pub fn into_scalar(self) -> Option<Answer> {
+        match self {
+            PipelineAnswer::Scalar(a) => Some(a),
+            PipelineAnswer::Series(_) => None,
+        }
+    }
+
+    /// The series answer (PAST); `None` for a scalar.
+    pub fn into_series(self) -> Option<PastAnswer> {
+        match self {
+            PipelineAnswer::Series(a) => Some(a),
+            PipelineAnswer::Scalar(_) => None,
         }
     }
 

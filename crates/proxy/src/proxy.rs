@@ -585,8 +585,7 @@ impl PrestoProxy {
     }
 
     /// Fast, radio-free NOW paths — cache hit → temporal extrapolation
-    /// → spatial conditioning — shared by the blocking query path and
-    /// the asynchronous pipeline. `None` means only a pull can answer.
+    /// → spatial conditioning. `None` means only a pull can answer.
     fn try_now_fast(&mut self, t: SimTime, sensor: u16, tolerance: f64) -> Option<Answer> {
         let slot = self.sensors.get(&sensor)?;
 
@@ -658,70 +657,8 @@ impl PrestoProxy {
         None
     }
 
-    /// Answers a NOW query for one sensor: cache hit → extrapolation →
-    /// spatial → pull.
-    pub fn answer_now(
-        &mut self,
-        t: SimTime,
-        sensor: u16,
-        tolerance: f64,
-        node: &mut SensorNode,
-        chan: &mut DownlinkChannel,
-    ) -> Answer {
-        self.stats.now_queries += 1;
-        if !self.sensors.contains_key(&sensor) {
-            return Answer {
-                value: 0.0,
-                sigma: f64::INFINITY,
-                source: AnswerSource::Failed,
-                latency: SimDuration::ZERO,
-                data_through: None,
-            };
-        }
-        if let Some(a) = self.try_now_fast(t, sensor, tolerance) {
-            return a;
-        }
-
-        // 4. Miss-triggered pull of the most recent archive contents.
-        let (reply, latency) = self.pull(
-            t,
-            sensor,
-            t - self.config.sample_period * 3,
-            t,
-            tolerance,
-            node,
-            chan,
-        );
-        match reply.as_deref().and_then(<[_]>::last) {
-            Some(&(stamp, value)) => Answer {
-                value,
-                sigma: tolerance / 2.0,
-                source: AnswerSource::Pulled,
-                latency,
-                data_through: Some(stamp),
-            },
-            _ => {
-                // Best effort: stale cache or model, flagged as failed.
-                let slot = &self.sensors[&sensor];
-                let (value, sigma) = slot
-                    .cache
-                    .latest()
-                    .map(|s| (s.value, f64::INFINITY))
-                    .unwrap_or((0.0, f64::INFINITY));
-                Answer {
-                    value,
-                    sigma,
-                    source: AnswerSource::Failed,
-                    latency,
-                    data_through: None,
-                }
-            }
-        }
-    }
-
     /// Fast, radio-free PAST paths — dense cache coverage → model-era
-    /// extrapolation — shared by the blocking query path and the
-    /// asynchronous pipeline. `None` means only a pull can answer.
+    /// extrapolation. `None` means only a pull can answer.
     fn try_past_fast(
         &mut self,
         sensor: u16,
@@ -781,55 +718,7 @@ impl PrestoProxy {
         None
     }
 
-    /// Answers a PAST query: cache coverage → extrapolation (model
-    /// guarantee over the range) → archive pull.
-    #[allow(clippy::too_many_arguments)]
-    pub fn answer_past(
-        &mut self,
-        t: SimTime,
-        sensor: u16,
-        from: SimTime,
-        to: SimTime,
-        tolerance: f64,
-        node: &mut SensorNode,
-        chan: &mut DownlinkChannel,
-    ) -> PastAnswer {
-        self.stats.past_queries += 1;
-        // An unknown sensor or an inverted window (`to < from`) holds
-        // nothing to answer with: an honest failure, at once.
-        if !self.sensors.contains_key(&sensor) || to < from {
-            return PastAnswer {
-                samples: Vec::new(),
-                source: AnswerSource::Failed,
-                latency: SimDuration::ZERO,
-            };
-        }
-        if let Some(a) = self.try_past_fast(sensor, from, to, tolerance) {
-            return a;
-        }
-
-        // 3. Pull from the sensor's archive.
-        let (reply, latency) = self.pull(t, sensor, from, to, tolerance, node, chan);
-        match reply {
-            Some(samples) if !samples.is_empty() => PastAnswer {
-                samples,
-                source: AnswerSource::Pulled,
-                latency,
-            },
-            _ => PastAnswer {
-                samples: self.sensors[&sensor]
-                    .cache
-                    .range(from, to)
-                    .map(|s| (s.t, s.value))
-                    .collect(),
-                source: AnswerSource::Failed,
-                latency,
-            },
-        }
-    }
-
-    /// Fast, radio-free aggregate path (dense cache coverage), shared
-    /// by the blocking query path and the asynchronous pipeline.
+    /// Fast, radio-free aggregate path (dense cache coverage).
     fn try_aggregate_fast(
         &mut self,
         sensor: u16,
@@ -853,93 +742,94 @@ impl PrestoProxy {
         None
     }
 
-    /// Answers an aggregate PAST query: computed from the cache when
-    /// coverage allows, otherwise evaluated *at the sensor* over its
-    /// archive so only the scalar result crosses the radio (paper §3's
-    /// "mode of vibration" example).
-    #[allow(clippy::too_many_arguments)]
-    pub fn answer_aggregate(
+    /// Books a query in the NOW/PAST counters and admits it. An unknown
+    /// sensor, or an inverted window (`to < from`, which holds no
+    /// instant), has nothing to answer with: its honest failure comes
+    /// back at once.
+    fn admit(&mut self, query: &PipelineQuery) -> Result<(), PipelineAnswer> {
+        match query {
+            PipelineQuery::Now { .. } => self.stats.now_queries += 1,
+            PipelineQuery::Past { .. } | PipelineQuery::Aggregate { .. } => {
+                self.stats.past_queries += 1
+            }
+        }
+        if !self.sensors.contains_key(&query.sensor()) || query.window_inverted() {
+            return Err(self.failed_answer(query, SimDuration::ZERO));
+        }
+        Ok(())
+    }
+
+    /// The radio-free fast path for a query's class, if one answers it.
+    fn try_fast(&mut self, t: SimTime, query: &PipelineQuery) -> Option<PipelineAnswer> {
+        match *query {
+            PipelineQuery::Now { sensor, tolerance } => self
+                .try_now_fast(t, sensor, tolerance)
+                .map(PipelineAnswer::Scalar),
+            PipelineQuery::Past {
+                sensor,
+                from,
+                to,
+                tolerance,
+            } => self
+                .try_past_fast(sensor, from, to, tolerance)
+                .map(PipelineAnswer::Series),
+            PipelineQuery::Aggregate {
+                sensor,
+                from,
+                to,
+                op,
+            } => self
+                .try_aggregate_fast(sensor, from, to, op)
+                .map(PipelineAnswer::Scalar),
+        }
+    }
+
+    /// Answers a query synchronously: cache hit → extrapolation →
+    /// spatial → a miss-triggered pull (or, for an aggregate, the
+    /// operator shipped to the sensor so only the scalar crosses the
+    /// radio, paper §3). Admission, the fast paths, the pull window and
+    /// every answer constructor are the pipeline's own; only the radio
+    /// work differs: the request is one [`PrestoProxy::rpc`] whose whole
+    /// attempt/timeout schedule runs inside this call and lands in the
+    /// answer's latency.
+    pub fn answer(
         &mut self,
         t: SimTime,
-        sensor: u16,
-        from: SimTime,
-        to: SimTime,
-        op: presto_sensor::AggregateOp,
+        query: PipelineQuery,
         node: &mut SensorNode,
         chan: &mut DownlinkChannel,
-    ) -> Answer {
-        self.stats.past_queries += 1;
-        // As in `answer_past`: unknown sensor or inverted window.
-        if !self.sensors.contains_key(&sensor) || to < from {
-            return Answer {
-                value: f64::NAN,
-                sigma: f64::INFINITY,
-                source: AnswerSource::Failed,
-                latency: SimDuration::ZERO,
-                data_through: None,
-            };
+    ) -> PipelineAnswer {
+        if let Err(failed) = self.admit(&query) {
+            return failed;
         }
-        // Dense cache coverage: aggregate locally.
-        if let Some(a) = self.try_aggregate_fast(sensor, from, to, op) {
-            return a;
+        if let Some(fast) = self.try_fast(t, &query) {
+            return fast;
         }
-
-        // Ship the operator to the sensor. One RPC — the downlink
-        // channel owns retransmission — counted when issued, not when it
-        // happens to succeed, so `pulls` means attempts-per-RPC on every
-        // path.
-        self.stats.pulls += 1;
+        let (_, from, to, tolerance) = self.pull_plan(t, &query);
         let query_id = self.next_query_id;
         self.next_query_id += 1;
-        let msg = DownlinkMsg::AggregateRequest {
-            query_id,
-            from,
-            to,
-            op,
-        };
-        let out = self.rpc(t, &msg, node, chan);
-        let mut latency = out.latency;
-        if let Some(r) = out.reply {
-            if let UplinkPayload::AggregateReply {
-                value,
-                count,
-                sigma,
-                ..
-            } = &r.payload
-            {
-                latency += self.reply_latency(r.wire_bytes);
-                if *count == 0 {
-                    // The sensor aggregated nothing: the reply carries
-                    // no information, and an answer that carries no
-                    // data is a failure, not an Ok with no age — the
-                    // Ok set and the has-age set must coincide.
-                    return Answer {
-                        value: *value,
-                        sigma: f64::INFINITY,
-                        source: AnswerSource::Failed,
-                        latency,
-                        data_through: None,
-                    };
+        // One RPC — the downlink channel owns retransmission — counted
+        // when issued, so `pulls` means one request on every path.
+        self.stats.pulls += 1;
+        let out = self.rpc(t, &request(query_id, &query, from, to, tolerance), node, chan);
+        if let Some(reply) = out.reply {
+            let latency = out.latency + self.reply_latency(reply.wire_bytes);
+            match reply.payload {
+                UplinkPayload::PullReply { samples, .. } => {
+                    let samples: Vec<_> = samples.iter().map(|s| (s.t, s.value)).collect();
+                    return self.answer_from_samples(&query, samples, latency);
                 }
-                return Answer {
-                    value: *value,
-                    // The sensor derives the bound from the codec/aging
-                    // error of the rows it aggregated.
-                    sigma: *sigma,
-                    source: AnswerSource::Pulled,
-                    latency,
-                    data_through: Some(to),
-                };
+                UplinkPayload::AggregateReply {
+                    value,
+                    count,
+                    sigma,
+                    ..
+                } => return aggregate_answer(&query, value, count, sigma, latency),
+                _ => {}
             }
         }
         self.stats.pull_failures += 1;
-        Answer {
-            value: f64::NAN,
-            sigma: f64::INFINITY,
-            source: AnswerSource::Failed,
-            latency,
-            data_through: None,
-        }
+        self.failed_answer(&query, out.latency)
     }
 
     /// Archive-backed recovery replay: pulls `[from, to]` from the
@@ -962,17 +852,26 @@ impl PrestoProxy {
         // `pull_failures` stay query-path counters (recovery failures
         // are tracked by the gap tracker's `failed_attempts`).
         self.stats.recovery_pulls += 1;
-        let (reply, _) = self.pull_inner(t, sensor, from, to, tolerance, node, chan, false);
-        if let Some(samples) = &reply {
-            // Replica-divergence repair: the repaired gap may have held
-            // deviation pushes the sensor's replica observed and ours
-            // never saw, after which "silence means within tolerance"
-            // would be silently false. Instead of dropping the model
-            // and waiting for the next train-and-push, resynchronize it
-            // from the replayed samples themselves.
-            self.resync_replica(sensor, samples);
-        }
-        reply.map(|samples| samples.len())
+        let query_id = self.next_query_id;
+        self.next_query_id += 1;
+        let msg = DownlinkMsg::PullRequest {
+            query_id,
+            from,
+            to,
+            tolerance,
+        };
+        let reply = self.rpc(t, &msg, node, chan).reply?;
+        let UplinkPayload::PullReply { samples, .. } = reply.payload else {
+            return None;
+        };
+        // Replica-divergence repair: the repaired gap may have held
+        // deviation pushes the sensor's replica observed and ours never
+        // saw, after which "silence means within tolerance" would be
+        // silently false. Instead of dropping the model and waiting for
+        // the next train-and-push, resynchronize it from the replayed
+        // samples themselves.
+        self.resync_replica(sensor, samples.iter().map(|s| (s.t, s.value)));
+        Some(samples.len())
     }
 
     /// Resynchronizes a sensor's model replica after a gap repair by
@@ -990,7 +889,7 @@ impl PrestoProxy {
     /// the replica, answer by pull until the next training pass) costs
     /// a retrain and a model push per gap; the resync costs one pass
     /// over the replayed span.
-    fn resync_replica(&mut self, sensor: u16, samples: &[(SimTime, f64)]) {
+    fn resync_replica(&mut self, sensor: u16, samples: impl Iterator<Item = (SimTime, f64)>) {
         let tolerance = self.config.push_tolerance;
         let Some(slot) = self.sensors.get_mut(&sensor) else {
             return;
@@ -998,71 +897,12 @@ impl PrestoProxy {
         let Some(m) = slot.model.as_mut() else {
             return;
         };
-        for &(ts, v) in samples {
+        for (ts, v) in samples {
             if !m.model.predict(ts).within(v, tolerance) {
                 m.model.observe(ts, v);
             }
         }
         self.stats.replica_resyncs += 1;
-    }
-
-    /// Issues a query-path pull; integrates the reply into the cache.
-    #[allow(clippy::too_many_arguments)]
-    fn pull(
-        &mut self,
-        t: SimTime,
-        sensor: u16,
-        from: SimTime,
-        to: SimTime,
-        tolerance: f64,
-        node: &mut SensorNode,
-        chan: &mut DownlinkChannel,
-    ) -> (Option<Vec<(SimTime, f64)>>, SimDuration) {
-        self.pull_inner(t, sensor, from, to, tolerance, node, chan, true)
-    }
-
-    /// One fabric-routed pull RPC. Retransmission lives in the downlink
-    /// channel, so this issues exactly one RPC; `count_as_query` selects
-    /// whether it books into the query-path `pulls`/`pull_failures`
-    /// counters (recovery replays keep their own disjoint counter).
-    #[allow(clippy::too_many_arguments)]
-    fn pull_inner(
-        &mut self,
-        t: SimTime,
-        _sensor: u16,
-        from: SimTime,
-        to: SimTime,
-        tolerance: f64,
-        node: &mut SensorNode,
-        chan: &mut DownlinkChannel,
-        count_as_query: bool,
-    ) -> (Option<Vec<(SimTime, f64)>>, SimDuration) {
-        if count_as_query {
-            self.stats.pulls += 1;
-        }
-        let query_id = self.next_query_id;
-        self.next_query_id += 1;
-        let msg = DownlinkMsg::PullRequest {
-            query_id,
-            from,
-            to,
-            tolerance,
-        };
-        let out = self.rpc(t, &msg, node, chan);
-        let mut latency = out.latency;
-        if let Some(r) = out.reply {
-            if let UplinkPayload::PullReply { samples, .. } = &r.payload {
-                latency += self.reply_latency(r.wire_bytes);
-                return (
-                    Some(samples.iter().map(|s| (s.t, s.value)).collect()),
-                    latency,
-                );
-            }
-        }
-        if count_as_query {
-            self.stats.pull_failures += 1;
-        }
-        (None, latency)
     }
 
     // ──────────────── asynchronous query pipeline ────────────────
@@ -1113,39 +953,44 @@ impl PrestoProxy {
         dropped
     }
 
-    /// Closes a ticket's trace from its answer: cause from provenance,
-    /// staleness at completion time, the reported confidence width
-    /// (series answers carry per-sample tolerances, reported as 0 here).
-    fn finish_trace(&mut self, id: u64, t: SimTime, answer: &PipelineAnswer) {
-        self.finish_trace_with(id, t, answer, None);
-    }
-
-    /// [`PrestoProxy::finish_trace`] with an explicit confidence width —
-    /// sliced series answers report their re-bounded assembly sigma
-    /// (worst per-slice codec/aging bound) instead of the 0 a series
-    /// defaults to.
-    fn finish_trace_with(
+    /// Records a ticket's terminal: closes its trace from the answer —
+    /// cause from provenance, staleness at completion time, and the
+    /// reported confidence width (a series reports 0, its tolerances
+    /// being per sample, unless a sliced assembly passes its re-bounded
+    /// `slice_sigma`: the worst per-slice codec/aging bound) — and
+    /// queues the completion for collection.
+    fn complete(
         &mut self,
-        id: u64,
         t: SimTime,
-        answer: &PipelineAnswer,
-        sigma_override: Option<f64>,
+        id: u64,
+        query: PipelineQuery,
+        answer: PipelineAnswer,
+        submitted_at: SimTime,
+        slice_sigma: Option<f64>,
     ) {
-        if !self.pipeline.tracer.enabled() {
-            return;
+        if self.pipeline.tracer.enabled() {
+            let failed = answer.source() == AnswerSource::Failed;
+            let cause = if failed {
+                CompletionCause::Failed
+            } else {
+                CompletionCause::Ok
+            };
+            let sigma = match (slice_sigma, &answer) {
+                (Some(sigma), _) if !failed => sigma,
+                (_, PipelineAnswer::Scalar(a)) => a.sigma,
+                (_, PipelineAnswer::Series(_)) => 0.0,
+            };
+            self.pipeline
+                .tracer
+                .finish(id, t, cause, answer.age_at(t), sigma);
         }
-        let cause = if answer.source() == AnswerSource::Failed {
-            CompletionCause::Failed
-        } else {
-            CompletionCause::Ok
-        };
-        let sigma = sigma_override.unwrap_or(match answer {
-            PipelineAnswer::Scalar(a) => a.sigma,
-            PipelineAnswer::Series(_) => 0.0,
+        self.pipeline.completed.push(CompletedQuery {
+            id,
+            query,
+            answer,
+            submitted_at,
+            completed_at: t,
         });
-        self.pipeline
-            .tracer
-            .finish(id, t, cause, answer.age_at(t), sigma);
     }
 
     /// Submits a query to the asynchronous pipeline. The radio-free
@@ -1177,182 +1022,104 @@ impl PrestoProxy {
         self.pipeline.next_ticket += 1;
         self.pipeline.stats.submitted += 1;
         self.pipeline.tracer.record(id, t, SpanEvent::Submitted);
-        match query {
-            PipelineQuery::Now { .. } => self.stats.now_queries += 1,
-            PipelineQuery::Past { .. } | PipelineQuery::Aggregate { .. } => {
-                self.stats.past_queries += 1
-            }
-        }
-        // An unknown sensor, or an inverted window (`to < from`, which
-        // holds no instant), fails honestly at submission.
-        if !self.sensors.contains_key(&query.sensor()) || query.window_inverted() {
-            let answer = self.failed_answer(&query, SimDuration::ZERO);
+        if let Err(answer) = self.admit(&query) {
             self.pipeline.stats.failed += 1;
-            self.finish_trace(id, t, &answer);
-            self.pipeline.completed.push(CompletedQuery {
-                id,
-                query,
-                answer,
-                submitted_at: t,
-                completed_at: t,
-            });
+            self.complete(t, id, query, answer, t, None);
             return id;
         }
-        let fast = match query {
-            PipelineQuery::Now { sensor, tolerance } => self
-                .try_now_fast(t, sensor, tolerance)
-                .map(PipelineAnswer::Scalar),
-            PipelineQuery::Past {
-                sensor,
-                from,
-                to,
-                tolerance,
-            } => self
-                .try_past_fast(sensor, from, to, tolerance)
-                .map(PipelineAnswer::Series),
-            PipelineQuery::Aggregate {
-                sensor,
-                from,
-                to,
-                op,
-            } => self
-                .try_aggregate_fast(sensor, from, to, op)
-                .map(PipelineAnswer::Scalar),
-        };
-        if let Some(answer) = fast {
+        if let Some(answer) = self.try_fast(t, &query) {
             self.pipeline.stats.completed_fast += 1;
             self.pipeline
                 .tracer
                 .record(id, t, SpanEvent::CacheHit { path: "fast" });
-            self.finish_trace(id, t, &answer);
-            self.pipeline.completed.push(CompletedQuery {
-                id,
-                query,
-                answer,
-                submitted_at: t,
-                completed_at: t,
-            });
+            self.complete(t, id, query, answer, t, None);
             return id;
         }
+        let (key, pull_from, pull_to, pull_tolerance) = self.pull_plan(t, &query);
         // Sliced archive-range execution: a PAST window spanning enough
         // fixed time-aligned slices decomposes into canonical slices —
         // slices any earlier query pulled serve from the two-tier slice
         // cache (a sub-window of a previously pulled span completes
         // radio-free), and only the missing slices become sub-RPCs.
-        if let PipelineQuery::Past {
-            sensor,
-            from,
-            to,
-            tolerance,
-        } = query
-        {
-            if let Some(specs) = self
-                .pipeline
-                .config
-                .slice
-                .as_ref()
-                .and_then(|cfg| slice::plan(sensor, from, to, tolerance, cfg))
-            {
-                self.pipeline.stats.sliced += 1;
-                let mut parts: Vec<SlicePart> = specs
-                    .into_iter()
-                    .map(|spec| SlicePart {
-                        key: PullKey::Pull {
-                            sensor,
-                            from: spec.from,
-                            to: spec.to,
-                            tol_bits: tolerance.to_bits(),
-                        },
-                        spec,
-                        samples: None,
-                        sigma: tolerance / 2.0,
-                        rpc_qid: None,
-                    })
-                    .collect();
-                let mut all_hit = true;
-                for p in parts.iter_mut() {
-                    match self.pipeline.slice_cache.lookup(p.spec.key) {
-                        Some((samples, sigma)) => {
-                            p.samples = Some(samples);
-                            p.sigma = sigma;
-                        }
-                        None => all_hit = false,
-                    }
-                }
-                if all_hit {
-                    let (answer, sigma) =
-                        self.assemble_sliced(&query, &parts, SimDuration::from_millis(2));
-                    self.pipeline.stats.completed_cached += 1;
-                    self.pipeline.stats.completed_sliced += 1;
-                    self.pipeline.tracer.record(
-                        id,
-                        t,
-                        SpanEvent::CacheHit {
-                            path: "slice_cache",
-                        },
-                    );
-                    let sig = (answer.source() != AnswerSource::Failed).then_some(sigma);
-                    self.finish_trace_with(id, t, &answer, sig);
-                    self.pipeline.completed.push(CompletedQuery {
-                        id,
-                        query,
-                        answer,
-                        submitted_at: t,
-                        completed_at: t,
-                    });
-                    return id;
-                }
-                let deadline = t + deadline.unwrap_or(self.pipeline.config.deadline);
-                self.pipeline.tracer.record(id, t, SpanEvent::CacheMiss);
-                self.pipeline.pending.push(PendingQuery {
-                    id,
-                    query,
+        let specs = match (query, self.pipeline.config.slice.as_ref()) {
+            (
+                PipelineQuery::Past {
+                    sensor,
+                    from,
+                    to,
+                    tolerance,
+                },
+                Some(cfg),
+            ) => slice::plan(sensor, from, to, tolerance, cfg),
+            _ => None,
+        };
+        let parts = if let Some(specs) = specs {
+            self.pipeline.stats.sliced += 1;
+            let mut parts: Vec<SlicePart> = specs
+                .into_iter()
+                .map(|spec| SlicePart {
                     key: PullKey::Pull {
-                        sensor,
-                        from,
-                        to,
-                        tol_bits: tolerance.to_bits(),
+                        sensor: query.sensor(),
+                        from: spec.from,
+                        to: spec.to,
+                        tol_bits: pull_tolerance.to_bits(),
                     },
-                    pull_from: from,
-                    pull_to: to,
-                    pull_tolerance: tolerance,
-                    submitted_at: t,
-                    deadline,
+                    spec,
+                    samples: None,
+                    sigma: pull_tolerance / 2.0,
                     rpc_qid: None,
-                    parts,
-                    last_reply_latency: SimDuration::ZERO,
-                });
-                return id;
+                })
+                .collect();
+            let mut all_hit = true;
+            for p in parts.iter_mut() {
+                match self.pipeline.slice_cache.lookup(p.spec.key) {
+                    Some((samples, sigma)) => {
+                        p.samples = Some(samples);
+                        p.sigma = sigma;
+                    }
+                    None => all_hit = false,
+                }
             }
-        }
-        let (key, pull_from, pull_to, pull_tolerance) = self.pull_plan(t, &query);
-        // Shared pull-reply cache: a span any user already pulled at
-        // this tolerance answers from proxy memory — unless the window
-        // extends past the cached reply's coverage (freshness check),
-        // in which case a fresh pull is the only honest answer.
-        if matches!(key, PullKey::Pull { .. }) {
-            if let Some(samples) = self.pipeline.reply_cache.lookup(key, pull_to) {
-                let answer =
-                    self.answer_from_samples(&query, &samples[..], SimDuration::from_millis(2));
+            if all_hit {
+                let (answer, sigma) =
+                    self.assemble_sliced(&query, &parts, SimDuration::from_millis(2));
                 self.pipeline.stats.completed_cached += 1;
+                self.pipeline.stats.completed_sliced += 1;
                 self.pipeline.tracer.record(
                     id,
                     t,
                     SpanEvent::CacheHit {
-                        path: "reply_cache",
+                        path: "slice_cache",
                     },
                 );
-                self.finish_trace(id, t, &answer);
-                self.pipeline.completed.push(CompletedQuery {
-                    id,
-                    query,
-                    answer,
-                    submitted_at: t,
-                    completed_at: t,
-                });
+                self.complete(t, id, query, answer, t, Some(sigma));
                 return id;
             }
-        }
+            parts
+        } else {
+            // Shared pull-reply cache: a span any user already pulled at
+            // this tolerance answers from proxy memory — unless the
+            // window extends past the cached reply's coverage (freshness
+            // check), in which case a fresh pull is the only honest
+            // answer.
+            if matches!(key, PullKey::Pull { .. }) {
+                if let Some(samples) = self.pipeline.reply_cache.lookup(key, pull_to) {
+                    let answer =
+                        self.answer_from_samples(&query, &samples[..], SimDuration::from_millis(2));
+                    self.pipeline.stats.completed_cached += 1;
+                    self.pipeline.tracer.record(
+                        id,
+                        t,
+                        SpanEvent::CacheHit {
+                            path: "reply_cache",
+                        },
+                    );
+                    self.complete(t, id, query, answer, t, None);
+                    return id;
+                }
+            }
+            Vec::new()
+        };
         let deadline = t + deadline.unwrap_or(self.pipeline.config.deadline);
         self.pipeline.tracer.record(id, t, SpanEvent::CacheMiss);
         self.pipeline.pending.push(PendingQuery {
@@ -1365,7 +1132,7 @@ impl PrestoProxy {
             submitted_at: t,
             deadline,
             rpc_qid: None,
-            parts: Vec::new(),
+            parts,
             last_reply_latency: SimDuration::ZERO,
         });
         id
@@ -1446,9 +1213,9 @@ impl PrestoProxy {
         }
     }
 
-    /// The honest failure answer for a query, mirroring the blocking
-    /// path's best-effort fallbacks (stale cache value or partial cached
-    /// range, always advertised with sigma ∞ / `Failed`).
+    /// The honest failure answer for a query: its best-effort fallback
+    /// (stale cache value or partial cached range), always advertised
+    /// with sigma ∞ / `Failed`.
     fn failed_answer(&self, query: &PipelineQuery, latency: SimDuration) -> PipelineAnswer {
         match *query {
             PipelineQuery::Now { sensor, .. } => {
@@ -1490,9 +1257,9 @@ impl PrestoProxy {
         }
     }
 
-    /// Builds a query's answer from a pull reply's samples, mirroring
-    /// the blocking path's value extraction exactly (value-identity is
-    /// pinned by the pipeline-equivalence property test). A PAST answer
+    /// Builds a query's answer from a pull reply's samples: a NOW
+    /// answer is the newest sample at half the tolerance, a PAST answer
+    /// the whole series; no samples is an honest failure. A PAST answer
     /// takes the samples as they come: an owned `Vec` moves into the
     /// answer, a borrowed slice is copied once; NOW reads only the last
     /// sample and copies nothing.
@@ -1600,14 +1367,7 @@ impl PrestoProxy {
             }
             let answer = self.failed_answer(&q.query, t - q.submitted_at);
             self.pipeline.stats.failed += 1;
-            self.finish_trace(q.id, t, &answer);
-            self.pipeline.completed.push(CompletedQuery {
-                id: q.id,
-                query: q.query,
-                answer,
-                submitted_at: q.submitted_at,
-                completed_at: t,
-            });
+            self.complete(t, q.id, q.query, answer, q.submitted_at, None);
         }
 
         // 2. Issue radio work for queries that have none. A query (or a
@@ -1697,27 +1457,10 @@ impl PrestoProxy {
             };
             let qid = self.next_query_id;
             self.next_query_id += 1;
-            let msg = match q.query {
-                PipelineQuery::Now { .. } | PipelineQuery::Past { .. } => {
-                    DownlinkMsg::PullRequest {
-                        query_id: qid,
-                        from: q.pull_from,
-                        to: q.pull_to,
-                        tolerance: q.pull_tolerance,
-                    }
-                }
-                PipelineQuery::Aggregate { from, to, op, .. } => {
-                    DownlinkMsg::AggregateRequest {
-                        query_id: qid,
-                        from,
-                        to,
-                        op,
-                    }
-                }
-            };
+            let msg = request(qid, &q.query, q.pull_from, q.pull_to, q.pull_tolerance);
             // One RPC per coalesced group, counted when issued — the
-            // same attempts-per-RPC meaning `pulls` has on the blocking
-            // path, and still disjoint from `recovery_pulls`.
+            // same meaning `pulls` has on the synchronous path, and still
+            // disjoint from `recovery_pulls`.
             self.stats.pulls += 1;
             self.pipeline.stats.rpcs_issued += 1;
             ch.submit_async(t, msg, q.deadline);
@@ -1799,7 +1542,7 @@ impl PrestoProxy {
                     ..
                 } => {
                     // Fold the reply into the per-sensor cache exactly
-                    // as the blocking path does.
+                    // as `rpc` does on the synchronous path.
                     self.on_uplink(&reply);
                     let reply_air = self.reply_latency(reply.wire_bytes);
                     let mut served = Vec::new();
@@ -1884,14 +1627,7 @@ impl PrestoProxy {
                                 let answer =
                                     self.answer_from_samples(&q.query, &samples[..], latency);
                                 self.pipeline.stats.completed_pull += 1;
-                                self.finish_trace(q.id, t, &answer);
-                                self.pipeline.completed.push(CompletedQuery {
-                                    id: q.id,
-                                    query: q.query,
-                                    answer,
-                                    submitted_at: q.submitted_at,
-                                    completed_at: t,
-                                });
+                                self.complete(t, q.id, q.query, answer, q.submitted_at, None);
                             }
                             if let Some(first) = served.first() {
                                 // Share the reply: later queries over
@@ -1914,38 +1650,10 @@ impl PrestoProxy {
                             for q in served {
                                 let latency =
                                     (t - q.submitted_at) + attempt_latency + reply_air;
-                                let to = match &q.query {
-                                    PipelineQuery::Aggregate { to, .. } => Some(*to),
-                                    _ => None,
-                                };
-                                // An empty range carries nothing: that
-                                // is an honest failure, not an Ok
-                                // answer with no age (mirrors the
-                                // blocking path exactly).
-                                let answer = PipelineAnswer::Scalar(Answer {
-                                    value: *value,
-                                    sigma: if *count == 0 {
-                                        f64::INFINITY
-                                    } else {
-                                        *sigma
-                                    },
-                                    source: if *count == 0 {
-                                        AnswerSource::Failed
-                                    } else {
-                                        AnswerSource::Pulled
-                                    },
-                                    latency,
-                                    data_through: if *count == 0 { None } else { to },
-                                });
+                                let answer =
+                                    aggregate_answer(&q.query, *value, *count, *sigma, latency);
                                 self.pipeline.stats.completed_pull += 1;
-                                self.finish_trace(q.id, t, &answer);
-                                self.pipeline.completed.push(CompletedQuery {
-                                    id: q.id,
-                                    query: q.query,
-                                    answer,
-                                    submitted_at: q.submitted_at,
-                                    completed_at: t,
-                                });
+                                self.complete(t, q.id, q.query, answer, q.submitted_at, None);
                             }
                         }
                         _ => {}
@@ -1990,18 +1698,64 @@ impl PrestoProxy {
             let (answer, sigma) = self.assemble_sliced(&q.query, &q.parts, latency);
             self.pipeline.stats.completed_pull += 1;
             self.pipeline.stats.completed_sliced += 1;
-            let sig = (answer.source() != AnswerSource::Failed).then_some(sigma);
-            self.finish_trace_with(q.id, t, &answer, sig);
-            self.pipeline.completed.push(CompletedQuery {
-                id: q.id,
-                query: q.query,
-                answer,
-                submitted_at: q.submitted_at,
-                completed_at: t,
-            });
+            self.complete(t, q.id, q.query, answer, q.submitted_at, Some(sigma));
         }
         self.pipeline.pending = live;
     }
+}
+
+/// The downlink request for a precision-missed query's radio work (the
+/// window and tolerance come from [`PrestoProxy::pull_plan`]): an
+/// aggregate ships its operator, anything else pulls samples.
+fn request(
+    query_id: u64,
+    query: &PipelineQuery,
+    from: SimTime,
+    to: SimTime,
+    tolerance: f64,
+) -> DownlinkMsg {
+    match *query {
+        PipelineQuery::Aggregate { op, .. } => DownlinkMsg::AggregateRequest {
+            query_id,
+            from,
+            to,
+            op,
+        },
+        PipelineQuery::Now { .. } | PipelineQuery::Past { .. } => DownlinkMsg::PullRequest {
+            query_id,
+            from,
+            to,
+            tolerance,
+        },
+    }
+}
+
+/// The answer an aggregate reply carries. The sensor derives `sigma`
+/// from the codec/aging error of the rows it aggregated. An empty range
+/// (`count == 0`) carries nothing: that is an honest failure, not an Ok
+/// answer with no age — the Ok set and the has-age set coincide.
+fn aggregate_answer(
+    query: &PipelineQuery,
+    value: f64,
+    count: u32,
+    sigma: f64,
+    latency: SimDuration,
+) -> PipelineAnswer {
+    let empty = count == 0;
+    PipelineAnswer::Scalar(Answer {
+        value,
+        sigma: if empty { f64::INFINITY } else { sigma },
+        source: if empty {
+            AnswerSource::Failed
+        } else {
+            AnswerSource::Pulled
+        },
+        latency,
+        data_through: match *query {
+            PipelineQuery::Aggregate { to, .. } if !empty => Some(to),
+            _ => None,
+        },
+    })
 }
 
 #[cfg(test)]
@@ -2100,7 +1854,18 @@ mod tests {
             0.0,
         );
         let t = SimTime::from_days(1);
-        let a = proxy.answer_now(t, 3, 1.0, &mut node, &mut link);
+        let a = proxy
+            .answer(
+                t,
+                PipelineQuery::Now {
+                    sensor: 3,
+                    tolerance: 1.0,
+                },
+                &mut node,
+                &mut link,
+            )
+            .into_scalar()
+            .unwrap();
         assert_eq!(a.source, AnswerSource::CacheHit);
         assert!(a.latency < SimDuration::from_millis(5));
     }
@@ -2111,7 +1876,18 @@ mod tests {
             run_deployment(PushPolicy::ModelDriven { tolerance: 1.0 }, 3, 0.0);
         // Advance well past the last sample so the cache is stale.
         let t = SimTime::from_days(3) + SimDuration::from_mins(30);
-        let a = proxy.answer_now(t, 3, 1.5, &mut node, &mut link);
+        let a = proxy
+            .answer(
+                t,
+                PipelineQuery::Now {
+                    sensor: 3,
+                    tolerance: 1.5,
+                },
+                &mut node,
+                &mut link,
+            )
+            .into_scalar()
+            .unwrap();
         assert_eq!(a.source, AnswerSource::Extrapolated);
         // The answer must be within tolerance of the true diurnal value.
         assert!(
@@ -2131,7 +1907,18 @@ mod tests {
         // good enough, so the proxy must pull... but the archive has no
         // data this recent (sensor stopped sampling at day 3), so the
         // pull returns the freshest archived samples.
-        let a = proxy.answer_now(t, 3, 0.2, &mut node, &mut link);
+        let a = proxy
+            .answer(
+                t,
+                PipelineQuery::Now {
+                    sensor: 3,
+                    tolerance: 0.2,
+                },
+                &mut node,
+                &mut link,
+            )
+            .into_scalar()
+            .unwrap();
         assert_eq!(a.source, AnswerSource::Pulled);
         assert!(proxy.stats().pulls >= 1);
         // Pull latency includes the downlink preamble (1 s LPL).
@@ -2149,15 +1936,20 @@ mod tests {
             0.0,
         );
         let t = SimTime::from_days(1);
-        let a = proxy.answer_past(
-            t,
-            3,
-            SimTime::from_hours(5),
-            SimTime::from_hours(6),
-            1.0,
-            &mut node,
-            &mut link,
-        );
+        let a = proxy
+            .answer(
+                t,
+                PipelineQuery::Past {
+                    sensor: 3,
+                    from: SimTime::from_hours(5),
+                    to: SimTime::from_hours(6),
+                    tolerance: 1.0,
+                },
+                &mut node,
+                &mut link,
+            )
+            .into_series()
+            .unwrap();
         assert_eq!(a.source, AnswerSource::CacheHit);
         assert!(a.samples.len() > 100);
     }
@@ -2169,15 +1961,20 @@ mod tests {
         let t = SimTime::from_days(2);
         // Tight tolerance defeats extrapolation; the cache is sparse under
         // model-driven push, so the proxy must pull from the archive.
-        let a = proxy.answer_past(
-            t,
-            3,
-            SimTime::from_hours(30),
-            SimTime::from_hours(31),
-            0.1,
-            &mut node,
-            &mut link,
-        );
+        let a = proxy
+            .answer(
+                t,
+                PipelineQuery::Past {
+                    sensor: 3,
+                    from: SimTime::from_hours(30),
+                    to: SimTime::from_hours(31),
+                    tolerance: 0.1,
+                },
+                &mut node,
+                &mut link,
+            )
+            .into_series()
+            .unwrap();
         assert_eq!(a.source, AnswerSource::Pulled);
         assert!(!a.samples.is_empty());
         // Pulled values match the truth within the pull codec tolerance.
@@ -2192,26 +1989,36 @@ mod tests {
             run_deployment(PushPolicy::ModelDriven { tolerance: 1.0 }, 2, 0.0);
         let t = SimTime::from_days(2);
         // A range before any model was installed cannot be extrapolated.
-        let a = proxy.answer_past(
-            t,
-            3,
-            SimTime::from_mins(10),
-            SimTime::from_mins(40),
-            1.5,
-            &mut node,
-            &mut link,
-        );
+        let a = proxy
+            .answer(
+                t,
+                PipelineQuery::Past {
+                    sensor: 3,
+                    from: SimTime::from_mins(10),
+                    to: SimTime::from_mins(40),
+                    tolerance: 1.5,
+                },
+                &mut node,
+                &mut link,
+            )
+            .into_series()
+            .unwrap();
         assert_ne!(a.source, AnswerSource::Extrapolated);
         // A later range can.
-        let b = proxy.answer_past(
-            t,
-            3,
-            SimTime::from_hours(40),
-            SimTime::from_hours(41),
-            1.5,
-            &mut node,
-            &mut link,
-        );
+        let b = proxy
+            .answer(
+                t,
+                PipelineQuery::Past {
+                    sensor: 3,
+                    from: SimTime::from_hours(40),
+                    to: SimTime::from_hours(41),
+                    tolerance: 1.5,
+                },
+                &mut node,
+                &mut link,
+            )
+            .into_series()
+            .unwrap();
         assert_eq!(b.source, AnswerSource::Extrapolated);
         for &(ts, v) in &b.samples {
             assert!((v - diurnal(ts)).abs() <= 1.5 + 1e-6);
@@ -2223,7 +2030,18 @@ mod tests {
         let mut proxy = PrestoProxy::new(ProxyConfig::default());
         let mut node = SensorNode::new(9, SensorConfig::default(), LinkModel::perfect());
         let mut chan = DownlinkChannel::perfect();
-        let a = proxy.answer_now(SimTime::ZERO, 9, 1.0, &mut node, &mut chan);
+        let a = proxy
+            .answer(
+                SimTime::ZERO,
+                PipelineQuery::Now {
+                    sensor: 9,
+                    tolerance: 1.0,
+                },
+                &mut node,
+                &mut chan,
+            )
+            .into_scalar()
+            .unwrap();
         assert_eq!(a.source, AnswerSource::Failed);
     }
 
@@ -2240,7 +2058,18 @@ mod tests {
             LinkModel::perfect(),
         );
         let mut dead = chan_with_loss(1.0, 4);
-        let a = proxy.answer_now(SimTime::from_hours(1), 1, 0.5, &mut node, &mut dead);
+        let a = proxy
+            .answer(
+                SimTime::from_hours(1),
+                PipelineQuery::Now {
+                    sensor: 1,
+                    tolerance: 0.5,
+                },
+                &mut node,
+                &mut dead,
+            )
+            .into_scalar()
+            .unwrap();
         assert_eq!(a.source, AnswerSource::Failed);
         assert_eq!(proxy.stats().pull_failures, 1);
         // The channel retried before giving up, and every timeout is in
@@ -2298,7 +2127,18 @@ mod tests {
         // beyond the 62 s freshness window) but the neighbours' entries
         // (62 s old) are still fresh.
         let mut dead = chan_with_loss(1.0, 5);
-        let a = proxy.answer_now(t + SimDuration::from_secs(62), 2, 1.0, &mut node, &mut dead);
+        let a = proxy
+            .answer(
+                t + SimDuration::from_secs(62),
+                PipelineQuery::Now {
+                    sensor: 2,
+                    tolerance: 1.0,
+                },
+                &mut node,
+                &mut dead,
+            )
+            .into_scalar()
+            .unwrap();
         assert_eq!(a.source, AnswerSource::SpatialExtrapolated);
         assert!((a.value - (diurnal(t) + 1.0)).abs() < 1.0, "{}", a.value);
     }
@@ -2312,29 +2152,39 @@ mod tests {
         let (mut proxy, mut node, mut chan) =
             run_deployment(PushPolicy::ModelDriven { tolerance: 1.0 }, 1, 0.0);
         let t = SimTime::from_days(1);
-        let a = proxy.answer_past(
-            t,
-            3,
-            SimTime::from_hours(6),
-            SimTime::from_hours(7),
-            0.1,
-            &mut node,
-            &mut chan,
-        );
+        let a = proxy
+            .answer(
+                t,
+                PipelineQuery::Past {
+                    sensor: 3,
+                    from: SimTime::from_hours(6),
+                    to: SimTime::from_hours(7),
+                    tolerance: 0.1,
+                },
+                &mut node,
+                &mut chan,
+            )
+            .into_series()
+            .unwrap();
         assert_eq!(a.source, AnswerSource::Pulled);
         assert_eq!(proxy.stats().pulls, 1);
         assert_eq!(proxy.stats().pull_failures, 0);
         assert_eq!(proxy.stats().recovery_pulls, 0);
 
-        let ag = proxy.answer_aggregate(
-            t,
-            3,
-            SimTime::from_hours(6),
-            SimTime::from_hours(8),
-            presto_sensor::AggregateOp::Mean,
-            &mut node,
-            &mut chan,
-        );
+        let ag = proxy
+            .answer(
+                t,
+                PipelineQuery::Aggregate {
+                    sensor: 3,
+                    from: SimTime::from_hours(6),
+                    to: SimTime::from_hours(8),
+                    op: presto_sensor::AggregateOp::Mean,
+                },
+                &mut node,
+                &mut chan,
+            )
+            .into_scalar()
+            .unwrap();
         assert_eq!(ag.source, AnswerSource::Pulled);
         assert_eq!(proxy.stats().pulls, 2, "aggregate RPC counts once");
 
@@ -2357,15 +2207,20 @@ mod tests {
         assert_eq!(proxy.stats().pull_failures, 0);
 
         let mut dead = chan_with_loss(1.0, 77);
-        let failed = proxy.answer_past(
-            t,
-            3,
-            t - SimDuration::from_mins(30),
-            t,
-            0.01,
-            &mut node,
-            &mut dead,
-        );
+        let failed = proxy
+            .answer(
+                t,
+                PipelineQuery::Past {
+                    sensor: 3,
+                    from: t - SimDuration::from_mins(30),
+                    to: t,
+                    tolerance: 0.01,
+                },
+                &mut node,
+                &mut dead,
+            )
+            .into_series()
+            .unwrap();
         assert_eq!(failed.source, AnswerSource::Failed);
         assert_eq!(proxy.stats().pulls, 3, "failed RPC still counts as issued");
         assert_eq!(proxy.stats().pull_failures, 1);
@@ -2417,15 +2272,20 @@ mod tests {
             t = SimTime::from_secs(31 * i);
             node.on_sample(t, diurnal(t), None);
         }
-        let a = proxy.answer_aggregate(
-            t,
-            3,
-            SimTime::ZERO,
-            SimTime::from_hours(2),
-            presto_sensor::AggregateOp::Mean,
-            &mut node,
-            &mut chan,
-        );
+        let a = proxy
+            .answer(
+                t,
+                PipelineQuery::Aggregate {
+                    sensor: 3,
+                    from: SimTime::ZERO,
+                    to: SimTime::from_hours(2),
+                    op: presto_sensor::AggregateOp::Mean,
+                },
+                &mut node,
+                &mut chan,
+            )
+            .into_scalar()
+            .unwrap();
         assert_eq!(a.source, AnswerSource::Pulled);
         assert!(
             a.sigma > 0.0 && a.sigma.is_finite(),
@@ -2445,15 +2305,20 @@ mod tests {
             0.0,
         );
         let t = SimTime::from_days(1);
-        let a = proxy.answer_aggregate(
-            t,
-            3,
-            SimTime::from_hours(10),
-            SimTime::from_hours(12),
-            presto_sensor::AggregateOp::Mean,
-            &mut node,
-            &mut link,
-        );
+        let a = proxy
+            .answer(
+                t,
+                PipelineQuery::Aggregate {
+                    sensor: 3,
+                    from: SimTime::from_hours(10),
+                    to: SimTime::from_hours(12),
+                    op: presto_sensor::AggregateOp::Mean,
+                },
+                &mut node,
+                &mut link,
+            )
+            .into_scalar()
+            .unwrap();
         assert_eq!(a.source, AnswerSource::CacheHit);
         // Mean of the diurnal curve over 10:00–12:00 sits between the
         // curve endpoints.
@@ -2707,7 +2572,18 @@ mod tests {
         // answered by extrapolation (the old fence dropped the replica
         // and forced a pull here), and stays within the push tolerance.
         let t2 = t + SimDuration::from_mins(5);
-        let a = proxy.answer_now(t2, 3, 1.0, &mut node, &mut chan);
+        let a = proxy
+            .answer(
+                t2,
+                PipelineQuery::Now {
+                    sensor: 3,
+                    tolerance: 1.0,
+                },
+                &mut node,
+                &mut chan,
+            )
+            .into_scalar()
+            .unwrap();
         assert_eq!(a.source, AnswerSource::Extrapolated, "model kept");
         assert!((a.value - diurnal(t2)).abs() < 1.5, "{} vs {}", a.value, diurnal(t2));
     }
@@ -2823,15 +2699,20 @@ mod tests {
             run_deployment(PushPolicy::ModelDriven { tolerance: 1.0 }, 1, 0.0);
         let t = SimTime::from_days(1);
         let before = node.stats().bytes_sent;
-        let a = proxy.answer_aggregate(
-            t,
-            3,
-            SimTime::from_hours(6),
-            SimTime::from_hours(12),
-            presto_sensor::AggregateOp::Max,
-            &mut node,
-            &mut link,
-        );
+        let a = proxy
+            .answer(
+                t,
+                PipelineQuery::Aggregate {
+                    sensor: 3,
+                    from: SimTime::from_hours(6),
+                    to: SimTime::from_hours(12),
+                    op: presto_sensor::AggregateOp::Max,
+                },
+                &mut node,
+                &mut link,
+            )
+            .into_scalar()
+            .unwrap();
         let reply_bytes = node.stats().bytes_sent - before;
         assert_eq!(a.source, AnswerSource::Pulled);
         assert!(a.value.is_finite());

@@ -5,7 +5,7 @@
 use presto::archive::{ArchiveConfig, ArchiveStore, Quality};
 use presto::net::LinkModel;
 use presto::reliability::DownlinkChannel;
-use presto::proxy::{AnswerSource, PrestoProxy, ProxyConfig};
+use presto::proxy::{AnswerSource, PipelineQuery, PrestoProxy, ProxyConfig};
 use presto::sensor::{PushPolicy, SensorConfig, SensorNode};
 use presto::sim::{EnergyLedger, SimDuration, SimTime};
 use presto::workloads::{LabDeployment, LabParams};
@@ -47,15 +47,20 @@ fn pull_reply_precision_tracks_query_tolerance() {
         proxy.register_sensor(0);
         let mut link = DownlinkChannel::perfect();
         let before = node.stats().bytes_sent;
-        let a = proxy.answer_past(
-            query_t,
-            0,
-            SimTime::from_hours(8),
-            SimTime::from_hours(10),
-            tolerance,
-            &mut node,
-            &mut link,
-        );
+        let a = proxy
+            .answer(
+                query_t,
+                PipelineQuery::Past {
+                    sensor: 0,
+                    from: SimTime::from_hours(8),
+                    to: SimTime::from_hours(10),
+                    tolerance,
+                },
+                &mut node,
+                &mut link,
+            )
+            .into_series()
+            .unwrap();
         assert_eq!(a.source, AnswerSource::Pulled);
         let mut worst: f64 = 0.0;
         for &(ts, v) in &a.samples {
@@ -152,15 +157,20 @@ fn proxy_extrapolated_past_answers_respect_the_guarantee() {
         }
     }
     let query_t = trace.last().expect("non-empty").0;
-    let a = proxy.answer_past(
-        query_t,
-        0,
-        SimTime::from_hours(60),
-        SimTime::from_hours(61),
-        1.5,
-        &mut node,
-        &mut link,
-    );
+    let a = proxy
+        .answer(
+            query_t,
+            PipelineQuery::Past {
+                sensor: 0,
+                from: SimTime::from_hours(60),
+                to: SimTime::from_hours(61),
+                tolerance: 1.5,
+            },
+            &mut node,
+            &mut link,
+        )
+        .into_series()
+        .unwrap();
     assert_eq!(a.source, AnswerSource::Extrapolated);
     let mut worst: f64 = 0.0;
     for &(ts, v) in &a.samples {

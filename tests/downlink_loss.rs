@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use presto::net::{LinkModel, LossProcess};
-use presto::proxy::{AnswerSource, PastAnswer, PrestoProxy, ProxyConfig};
+use presto::proxy::{AnswerSource, PastAnswer, PipelineQuery, PrestoProxy, ProxyConfig};
 use presto::reliability::{DownlinkChannel, DownlinkConfig};
 use presto::sensor::{PushPolicy, SensorConfig, SensorNode};
 use presto::sim::{SimDuration, SimTime};
@@ -66,7 +66,13 @@ fn run_windows(chan: &mut DownlinkChannel) -> Vec<PastAnswer> {
     (0..4u64)
         .map(|k| {
             let (from, to) = window(k);
-            p.answer_past(t, 0, from, to, 0.2, &mut node, chan)
+            let query = PipelineQuery::Past {
+                sensor: 0,
+                from,
+                to,
+                tolerance: 0.2,
+            };
+            p.answer(t, query, &mut node, chan).into_series().unwrap()
         })
         .collect()
 }
@@ -119,18 +125,34 @@ fn total_downlink_burst_fails_honestly_not_silently() {
     let mut node = archived_node();
     let t = SimTime::from_days(2);
 
-    let past = p.answer_past(
-        t,
-        0,
-        SimTime::from_hours(3),
-        SimTime::from_hours(4),
-        0.2,
-        &mut node,
-        &mut chan,
-    );
+    let past = p
+        .answer(
+            t,
+            PipelineQuery::Past {
+                sensor: 0,
+                from: SimTime::from_hours(3),
+                to: SimTime::from_hours(4),
+                tolerance: 0.2,
+            },
+            &mut node,
+            &mut chan,
+        )
+        .into_series()
+        .unwrap();
     assert_eq!(past.source, AnswerSource::Failed);
 
-    let now = p.answer_now(t, 0, 0.5, &mut node, &mut chan);
+    let now = p
+        .answer(
+            t,
+            PipelineQuery::Now {
+                sensor: 0,
+                tolerance: 0.5,
+            },
+            &mut node,
+            &mut chan,
+        )
+        .into_scalar()
+        .unwrap();
     assert_eq!(now.source, AnswerSource::Failed);
     assert!(
         now.sigma.is_infinite(),
@@ -156,15 +178,20 @@ fn total_reply_burst_fails_honestly_after_deduped_retries() {
     let mut node = archived_node();
     let t = SimTime::from_days(2);
 
-    let past = p.answer_past(
-        t,
-        0,
-        SimTime::from_hours(5),
-        SimTime::from_hours(6),
-        0.2,
-        &mut node,
-        &mut chan,
-    );
+    let past = p
+        .answer(
+            t,
+            PipelineQuery::Past {
+                sensor: 0,
+                from: SimTime::from_hours(5),
+                to: SimTime::from_hours(6),
+                tolerance: 0.2,
+            },
+            &mut node,
+            &mut chan,
+        )
+        .into_series()
+        .unwrap();
     assert_eq!(past.source, AnswerSource::Failed);
     assert_eq!(
         node.stats().pulls_served,

@@ -3,7 +3,7 @@
 //! silently corrupt answers.
 
 use presto::net::{LinkModel, LossProcess};
-use presto::proxy::{AnswerSource, PrestoProxy, ProxyConfig};
+use presto::proxy::{AnswerSource, PipelineQuery, PrestoProxy, ProxyConfig};
 use presto::reliability::DownlinkChannel;
 use presto::sensor::{PushPolicy, SensorConfig, SensorNode};
 use presto::sim::{SimDuration, SimRng, SimTime};
@@ -61,7 +61,18 @@ fn bursty_loss_degrades_but_does_not_corrupt() {
     assert!(trained, "model never installed despite retries");
     // Queries still answer; errors stay bounded by tolerance-class slack.
     let last = trace.last().expect("non-empty trace");
-    let a = proxy.answer_now(last.timestamp, 0, 1.5, &mut node, &mut link);
+    let a = proxy
+        .answer(
+            last.timestamp,
+            PipelineQuery::Now {
+                sensor: 0,
+                tolerance: 1.5,
+            },
+            &mut node,
+            &mut link,
+        )
+        .into_scalar()
+        .unwrap();
     assert_ne!(a.source, AnswerSource::Failed);
     assert!(
         (a.value - last.value).abs() < 3.0,
@@ -76,7 +87,18 @@ fn dead_sensor_yields_failed_answers_not_garbage() {
     let (mut proxy, mut node, _) = paired(PushPolicy::Silent, 0.0, 6);
     // The sensor never reports and the downlink is completely dead.
     let mut dead = DownlinkChannel::over(LinkModel::new(LossProcess::Bernoulli(1.0), SimRng::new(9)));
-    let a = proxy.answer_now(SimTime::from_hours(1), 0, 0.5, &mut node, &mut dead);
+    let a = proxy
+        .answer(
+            SimTime::from_hours(1),
+            PipelineQuery::Now {
+                sensor: 0,
+                tolerance: 0.5,
+            },
+            &mut node,
+            &mut dead,
+        )
+        .into_scalar()
+        .unwrap();
     assert_eq!(a.source, AnswerSource::Failed);
     assert!(
         a.sigma.is_infinite(),
@@ -102,15 +124,20 @@ fn sensor_that_stops_midway_still_serves_its_past() {
     }
     // Hours later, a PAST query over the live period pulls the archive.
     let query_t = trace.last().expect("non-empty").timestamp;
-    let a = proxy.answer_past(
-        query_t,
-        0,
-        SimTime::from_hours(3),
-        SimTime::from_hours(4),
-        0.2,
-        &mut node,
-        &mut link,
-    );
+    let a = proxy
+        .answer(
+            query_t,
+            PipelineQuery::Past {
+                sensor: 0,
+                from: SimTime::from_hours(3),
+                to: SimTime::from_hours(4),
+                tolerance: 0.2,
+            },
+            &mut node,
+            &mut link,
+        )
+        .into_series()
+        .unwrap();
     assert_ne!(a.source, AnswerSource::Failed);
     assert!(a.samples.len() > 80, "{} samples", a.samples.len());
 }
@@ -147,15 +174,20 @@ fn retries_recover_moderate_downlink_loss() {
     // 20% loss: ARQ + pull retries should still get a PAST answer.
     let mut lossy = DownlinkChannel::over(LinkModel::new(LossProcess::Bernoulli(0.2), SimRng::new(12)));
     let t = trace[3000].timestamp;
-    let a = proxy.answer_past(
-        t,
-        0,
-        SimTime::from_hours(5),
-        SimTime::from_hours(6),
-        0.2,
-        &mut node,
-        &mut lossy,
-    );
+    let a = proxy
+        .answer(
+            t,
+            PipelineQuery::Past {
+                sensor: 0,
+                from: SimTime::from_hours(5),
+                to: SimTime::from_hours(6),
+                tolerance: 0.2,
+            },
+            &mut node,
+            &mut lossy,
+        )
+        .into_series()
+        .unwrap();
     assert_ne!(a.source, AnswerSource::Failed);
     assert!(!a.samples.is_empty());
 }

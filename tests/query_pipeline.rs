@@ -102,39 +102,6 @@ fn decode(code: u8) -> PipelineQuery {
     }
 }
 
-/// The synchronous reference: a persistent, identically built
-/// (proxy, sensor, perfect channel) trio serving each query through
-/// `PrestoProxy`'s blocking path at the same submission instant. The
-/// trio stays alive across queries so the channel's sequence numbers
-/// keep advancing (a fresh channel per query would collide with the
-/// sensor's dedup window); its fast paths are disabled exactly like the
-/// pipeline proxy's, so every reference answer is a real pull.
-fn reference_answer(
-    q: PipelineQuery,
-    t: SimTime,
-    p: &mut PrestoProxy,
-    chan: &mut DownlinkChannel,
-    ref_node: &mut SensorNode,
-) -> PipelineAnswer {
-    match q {
-        PipelineQuery::Now { sensor, tolerance } => {
-            PipelineAnswer::Scalar(p.answer_now(t, sensor, tolerance, ref_node, chan))
-        }
-        PipelineQuery::Past {
-            sensor,
-            from,
-            to,
-            tolerance,
-        } => PipelineAnswer::Series(p.answer_past(t, sensor, from, to, tolerance, ref_node, chan)),
-        PipelineQuery::Aggregate {
-            sensor,
-            from,
-            to,
-            op,
-        } => PipelineAnswer::Scalar(p.answer_aggregate(t, sensor, from, to, op, ref_node, chan)),
-    }
-}
-
 /// Runs the pipeline over the workload under the given loss traces and
 /// checks every completion against the reference. Returns
 /// (completed-pulled, honestly-failed).
@@ -147,6 +114,13 @@ fn run_and_check(
     let mut p = proxy();
     let mut node = archived_node();
     let mut chan = scripted_channel(request, reply);
+    // The synchronous reference: a persistent, identically built
+    // (proxy, sensor, perfect channel) trio answering each query through
+    // `PrestoProxy::answer` at the same submission instant. The trio
+    // stays alive across queries so the channel's sequence numbers keep
+    // advancing (a fresh channel per query would collide with the
+    // sensor's dedup window); its fast paths are disabled exactly like
+    // the pipeline proxy's, so every reference answer is a real pull.
     let mut ref_node = archived_node();
     let mut ref_proxy = proxy();
     let mut ref_chan = DownlinkChannel::perfect();
@@ -198,8 +172,7 @@ fn run_and_check(
             }
             AnswerSource::Pulled => {
                 pulled += 1;
-                let reference =
-                    reference_answer(q, t_sub, &mut ref_proxy, &mut ref_chan, &mut ref_node);
+                let reference = ref_proxy.answer(t_sub, q, &mut ref_node, &mut ref_chan);
                 match (&c.answer, &reference) {
                     (PipelineAnswer::Series(a), PipelineAnswer::Series(r)) => {
                         prop_assert_eq!(r.source, AnswerSource::Pulled, "reference must pull");
@@ -383,15 +356,14 @@ fn pipeline_now_query_matches_reference_inside_archive() {
     let mut ref_node = archived_node();
     let mut ref_proxy = proxy();
     let mut ref_chan = DownlinkChannel::perfect();
-    let reference = reference_answer(
+    let reference = ref_proxy.answer(
+        t,
         PipelineQuery::Now {
             sensor: 0,
             tolerance: 0.2,
         },
-        t,
-        &mut ref_proxy,
-        &mut ref_chan,
         &mut ref_node,
+        &mut ref_chan,
     );
     match (&done[0].answer, &reference) {
         (PipelineAnswer::Scalar(a), PipelineAnswer::Scalar(r)) => {

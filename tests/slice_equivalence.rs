@@ -72,7 +72,7 @@ fn sliced_proxy() -> PrestoProxy {
 }
 
 /// The blocking reference's proxy: identical, fast paths off. Slicing
-/// is irrelevant to it — the reference drives `answer_past` directly.
+/// is irrelevant to it — the reference drives `answer` directly.
 fn ref_proxy() -> PrestoProxy {
     let mut p = PrestoProxy::new(ProxyConfig {
         past_coverage_hit: f64::INFINITY,
@@ -173,7 +173,20 @@ fn reference_past(
             let runs: Vec<Vec<(SimTime, f64)>> = specs
                 .iter()
                 .map(|spec| {
-                    let a = p.answer_past(t, sensor, spec.from, spec.to, tolerance, node, chan);
+                    let a = p
+                        .answer(
+                            t,
+                            PipelineQuery::Past {
+                                sensor,
+                                from: spec.from,
+                                to: spec.to,
+                                tolerance,
+                            },
+                            node,
+                            chan,
+                        )
+                        .into_series()
+                        .unwrap();
                     assert_eq!(a.source, AnswerSource::Pulled, "reference slice pull failed");
                     a.samples
                 })
@@ -181,7 +194,7 @@ fn reference_past(
             assemble_oracle(&runs, from, to)
         }
         None => {
-            let a = p.answer_past(t, sensor, from, to, tolerance, node, chan);
+            let a = p.answer(t, q, node, chan).into_series().unwrap();
             assert_eq!(a.source, AnswerSource::Pulled, "reference pull failed");
             a.samples
         }
@@ -270,7 +283,15 @@ fn run_and_check(
                         );
                     }
                     (PipelineAnswer::Scalar(a), PipelineQuery::Now { sensor, tolerance }) => {
-                        let r = rp.answer_now(t_sub, sensor, tolerance, &mut ref_node, &mut ref_chan);
+                        let r = rp
+                            .answer(
+                                t_sub,
+                                PipelineQuery::Now { sensor, tolerance },
+                                &mut ref_node,
+                                &mut ref_chan,
+                            )
+                            .into_scalar()
+                            .unwrap();
                         prop_assert_eq!(r.source, AnswerSource::Pulled, "reference must pull");
                         prop_assert_eq!(a.value, r.value, "NOW value diverged");
                         prop_assert_eq!(a.sigma, r.sigma, "NOW sigma diverged");
